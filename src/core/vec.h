@@ -136,9 +136,10 @@ void axpy(float alpha, const float* x, float* o, int64_t n);
 /// o[i] = v.
 void fill(float v, float* o, int64_t n);
 
-/// Per-element Adam update, the exact expression shared by nn::Adam and
-/// fused::FusedAdam (all-float scalars; mul/add/div/sqrt only — no fma — so
-/// the vector and scalar paths are identical by IEEE exactness):
+/// Per-element Adam update, run by fused::FusedAdam on each model's block
+/// (nn::Adam is FusedAdam at B = 1). All-float scalars; mul/add/div/sqrt
+/// only — no fma — so the vector and scalar paths are identical by IEEE
+/// exactness:
 ///   g  = grad_scale * grad[i] + weight_decay * p[i]
 ///   m' = beta1 * m[i] + (1 - beta1) * g
 ///   v' = beta2 * v[i] + (1 - beta2) * g * g
@@ -155,8 +156,8 @@ struct AdamArgs {
 void adam(const AdamArgs& s, float* p, const float* grad, float* m, float* v,
           int64_t n);
 
-/// Per-element SGD(+momentum) update shared by nn::SGD and fused::FusedSGD
-/// (grad_scale as in AdamArgs):
+/// Per-element SGD(+momentum) update, fused::FusedSGD's expression on each
+/// model's block (grad_scale as in AdamArgs):
 ///   g = grad_scale * grad[i] + weight_decay * p[i]
 ///   if has_momentum: buf[i] = momentum * buf[i] + g; g = buf[i]
 ///   p[i] -= lr * g
@@ -169,9 +170,9 @@ void sgd(const SgdArgs& s, float* p, const float* grad, float* buf /*nullable*/,
 
 /// True iff every g[i] * inv_scale is finite — the AMP overflow check as a
 /// READ-ONLY scan (grads stay scaled in memory; the optimizer folds 1/S via
-/// grad_scale). Same multiply as the in-place unscale, so the verdict is
-/// identical to LossScaler::unscale_finite's on every input, and it is a
-/// pure OR over elements: order- and backend-independent.
+/// grad_scale). The multiply is the one an in-place unscale would store, so
+/// the verdict is that of scanning unscaled grads, and it is a pure OR over
+/// elements: order- and backend-independent.
 bool finite_scaled(const float* g, float inv_scale, int64_t n);
 
 // -- row reductions (fixed 8-lane strip + tree semantics) ---------------------

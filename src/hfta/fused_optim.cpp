@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/parallel.h"
 #include "core/vec.h"
 
 namespace hfta::fused {
 
-// The per-model update loops below call the shared per-element kernels in
-// core/vec — the same kernels nn::SGD / nn::Adam use — on each model's block
-// of the fused parameter array. One implementation of each update expression
-// keeps the fused step bit-equal to the B serial steps by construction.
+// The per-model update loops below call the per-element kernels in core/vec
+// on each model's block of the fused parameter array. The serial optimizers
+// are these same classes at B = 1, so the fused step is bit-equal to the B
+// serial steps by construction: a model's block sees the same expression
+// with the same scalars whatever B is.
 
 HyperVec select_hyper(const HyperVec& v, const std::vector<int64_t>& keep) {
   HyperVec out;
@@ -37,24 +37,6 @@ void FusedOptimizer::zero_grad() {
   for (auto& p : params_) p.var.zero_grad();
 }
 
-void FusedOptimizer::step(double grad_scale) {
-  // Fallback for optimizers without a fused grad-scale path: unscale every
-  // gradient in place (the same single multiply the fused path folds into
-  // its update) and run the plain step. Chunks write disjoint elements, so
-  // the partition cannot change any bit.
-  const float gs = static_cast<float>(grad_scale);
-  for (auto& p : params_) {
-    if (!p.var.has_grad()) continue;
-    ag::Variable v = p.var;
-    float* pg = v.grad().data();
-    const int64_t n = v.grad().numel();
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      vec::unary(vec::UnOp::kMulScalar, gs, 0.f, pg + lo, pg + lo, hi - lo);
-    });
-  }
-  step();
-}
-
 HyperVec FusedOptimizer::expand(HyperVec v) const {
   HFTA_CHECK(v.size() == 1 || v.size() == static_cast<size_t>(array_size_),
              "hyper-parameter vector must have size 1 or B, got ", v.size());
@@ -63,14 +45,6 @@ HyperVec FusedOptimizer::expand(HyperVec v) const {
 }
 
 void FusedOptimizer::set_lr(HyperVec lr) { lr_ = expand(std::move(lr)); }
-
-void FusedOptimizer::repack_state_from(const FusedOptimizer& src,
-                                       const std::vector<int64_t>& keep) {
-  std::vector<RepackPick> picks;
-  picks.reserve(keep.size());
-  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
-  repack_state_from(std::vector<const FusedOptimizer*>{&src}, picks);
-}
 
 void FusedOptimizer::check_repack(
     const std::vector<const FusedOptimizer*>& sources,
@@ -138,6 +112,8 @@ FusedSGD::FusedSGD(std::vector<FusedParam> params, int64_t array_size,
 }
 
 void FusedSGD::step_impl(float grad_scale) {
+  const bool has_momentum = std::any_of(momentum_.begin(), momentum_.end(),
+                                        [](double m) { return m != 0.0; });
   for (size_t i = 0; i < params_.size(); ++i) {
     FusedParam& fp = params_[i];
     if (!fp.var.has_grad()) continue;
@@ -145,11 +121,8 @@ void FusedSGD::step_impl(float grad_scale) {
     const float* pg = fp.var.grad().data();
     float* pp = fp.var.mutable_value().data();
     Tensor& buf = momentum_buf_[i];
-    const bool has_momentum =
-        std::any_of(momentum_.begin(), momentum_.end(),
-                    [](double m) { return m != 0.0; });
     // First step seeds buf = 0, so momentum*buf + g == g: the PyTorch
-    // first-step rule without a special case (mirrors nn::SGD).
+    // first-step rule without a special case.
     if (has_momentum && !buf.defined()) buf = Tensor::zeros(fp.var.shape());
     float* pb = has_momentum ? buf.data() : nullptr;
     for (int64_t b = 0; b < array_size_; ++b) {
@@ -196,33 +169,36 @@ FusedAdam::FusedAdam(std::vector<FusedParam> params, int64_t array_size,
 void FusedAdam::step_impl(float grad_scale) {
   ++t_;
   for (size_t i = 0; i < params_.size(); ++i) {
-    FusedParam& fp = params_[i];
-    if (!fp.var.has_grad()) continue;
-    const int64_t block = fp.per_model_numel();
-    if (!m_[i].defined()) {
-      m_[i] = Tensor::zeros(fp.var.shape());
-      v_[i] = Tensor::zeros(fp.var.shape());
+    if (params_[i].var.has_grad() && !m_[i].defined()) {
+      m_[i] = Tensor::zeros(params_[i].var.shape());
+      v_[i] = Tensor::zeros(params_[i].var.shape());
     }
-    const float* pg = fp.var.grad().data();
-    float* pp = fp.var.mutable_value().data();
-    float* pm = m_[i].data();
-    float* pv = v_[i].data();
-    for (int64_t b = 0; b < array_size_; ++b) {
-      const size_t ub = static_cast<size_t>(b);
-      const double bc1 = 1.0 - std::pow(beta1_[ub], static_cast<double>(t_));
-      const double bc2 = 1.0 - std::pow(beta2_[ub], static_cast<double>(t_));
-      vec::AdamArgs s;
-      s.weight_decay = static_cast<float>(weight_decay_[ub]);
-      s.beta1 = static_cast<float>(beta1_[ub]);
-      s.one_minus_beta1 = 1.f - s.beta1;
-      s.beta2 = static_cast<float>(beta2_[ub]);
-      s.one_minus_beta2 = 1.f - s.beta2;
-      s.step_size = static_cast<float>(lr_[ub] / bc1);
-      s.inv_bc2 = static_cast<float>(1.0 / bc2);
-      s.eps = static_cast<float>(eps_[ub]);
-      s.grad_scale = grad_scale;
-      vec::adam(s, pp + b * block, pg + b * block, pm + b * block,
-                pv + b * block, block);
+  }
+  // Models outside parameters: a model's bias corrections depend only on
+  // its betas and the step count, so they are computed once per model per
+  // step, not once per parameter. Blocks are disjoint, so the loop order
+  // cannot change a bit.
+  for (int64_t b = 0; b < array_size_; ++b) {
+    const size_t ub = static_cast<size_t>(b);
+    const double bc1 = 1.0 - std::pow(beta1_[ub], static_cast<double>(t_));
+    const double bc2 = 1.0 - std::pow(beta2_[ub], static_cast<double>(t_));
+    vec::AdamArgs s;
+    s.weight_decay = static_cast<float>(weight_decay_[ub]);
+    s.beta1 = static_cast<float>(beta1_[ub]);
+    s.one_minus_beta1 = 1.f - s.beta1;
+    s.beta2 = static_cast<float>(beta2_[ub]);
+    s.one_minus_beta2 = 1.f - s.beta2;
+    s.step_size = static_cast<float>(lr_[ub] / bc1);
+    s.inv_bc2 = static_cast<float>(1.0 / bc2);
+    s.eps = static_cast<float>(eps_[ub]);
+    s.grad_scale = grad_scale;
+    for (size_t i = 0; i < params_.size(); ++i) {
+      FusedParam& fp = params_[i];
+      if (!fp.var.has_grad()) continue;
+      const int64_t off = b * fp.per_model_numel();
+      vec::adam(s, fp.var.mutable_value().data() + off,
+                fp.var.grad().data() + off, m_[i].data() + off,
+                v_[i].data() + off, fp.per_model_numel());
     }
   }
 }
@@ -270,7 +246,7 @@ FusedAdadelta::FusedAdadelta(std::vector<FusedParam> params,
   acc_delta_.resize(params_.size());
 }
 
-void FusedAdadelta::step() {
+void FusedAdadelta::step_impl(float grad_scale) {
   for (size_t i = 0; i < params_.size(); ++i) {
     FusedParam& fp = params_[i];
     if (!fp.var.has_grad()) continue;
@@ -290,7 +266,9 @@ void FusedAdadelta::step() {
       const float lr = static_cast<float>(lr_[ub]);
       const float wd = static_cast<float>(weight_decay_[ub]);
       for (int64_t j = b * block; j < (b + 1) * block; ++j) {
-        const float g = pg[j] + wd * pp[j];
+        // grad_scale folds AMP's 1/S into the read: the same single f32
+        // multiply an in-place unscale would store (-ffp-contract=off).
+        const float g = grad_scale * pg[j] + wd * pp[j];
         sq[j] = rho * sq[j] + (1.f - rho) * g * g;
         const float delta = std::sqrt(ad[j] + eps) / std::sqrt(sq[j] + eps) * g;
         ad[j] = rho * ad[j] + (1.f - rho) * delta * delta;

@@ -1,7 +1,11 @@
-// Horizontally fused optimizers. Where the unfused optimizer multiplies by
-// a scalar learning rate, the fused one multiplies by a *vector* of B
+// Horizontally fused optimizers. Where an unfused optimizer multiplies by a
+// scalar learning rate, the fused one multiplies by a *vector* of B
 // per-model learning rates broadcast over each parameter's model blocks
 // (paper §3 "HFTA Optimizers and Learning Rate Schedulers").
+//
+// These are the repo's only optimizers: the serial nn::SGD / nn::Adam /
+// nn::Adadelta are the B = 1 case (nn/optim.h), so a fused-vs-serial
+// comparison runs the same step code on both sides.
 //
 // All fused parameters pack their B model blocks contiguously along dim 0
 // (FusedParam), so "broadcast over model b's slice" is a strided loop.
@@ -26,14 +30,14 @@ class FusedOptimizer {
   FusedOptimizer(std::vector<FusedParam> params, int64_t array_size);
   virtual ~FusedOptimizer() = default;
 
-  virtual void step() = 0;
-  /// AMP step: applies grad_scale (1/S) to every gradient READ — the fused
-  /// per-element kernels fold the multiply into the update, so gradients
-  /// stay scaled in memory (zero_grad wipes them next iteration) and no
-  /// separate unscale pass runs. Bit-identical to unscaling in place first.
-  /// The base implementation IS unscale-in-place + step(), for optimizers
-  /// without a fused grad-scale path (Adadelta).
-  virtual void step(double grad_scale);
+  virtual void step() { step_impl(1.f); }
+  /// AMP step: applies grad_scale (1/S) to every gradient READ — the
+  /// per-element updates fold the multiply in, so gradients stay scaled in
+  /// memory (zero_grad wipes them next iteration) and no separate unscale
+  /// pass runs. Bit-identical to unscaling in place first.
+  virtual void step(double grad_scale) {
+    step_impl(static_cast<float>(grad_scale));
+  }
   void zero_grad();
 
   int64_t array_size() const { return array_size_; }
@@ -56,12 +60,11 @@ class FusedOptimizer {
   /// shared scalar state (Adam's step count).
   virtual void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                                  const std::vector<RepackPick>& picks) = 0;
-  /// Single-source convenience (model keep[j] of `src` becomes model j):
-  /// thin delegate to the multi-source gather — one code path for both.
-  void repack_state_from(const FusedOptimizer& src,
-                         const std::vector<int64_t>& keep);
 
  protected:
+  /// The update itself. Both step() overloads call it directly (never one
+  /// another), so a subclass overriding both wraps each step exactly once.
+  virtual void step_impl(float grad_scale) = 0;
   /// Shared repack_state_from validation: array/param-count alignment,
   /// per-model block sizes, pick ranges.
   void check_repack(const std::vector<const FusedOptimizer*>& sources,
@@ -97,16 +100,11 @@ class FusedSGD : public FusedOptimizer {
     HyperVec weight_decay = {0.0};
   };
   FusedSGD(std::vector<FusedParam> params, int64_t array_size, Options opt);
-  void step() override { step_impl(1.f); }
-  void step(double grad_scale) override {
-    step_impl(static_cast<float>(grad_scale));
-  }
-  using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 
  private:
-  void step_impl(float grad_scale);
+  void step_impl(float grad_scale) override;
   HyperVec momentum_, weight_decay_;
   std::vector<Tensor> momentum_buf_;
 };
@@ -122,16 +120,11 @@ class FusedAdam : public FusedOptimizer {
     HyperVec weight_decay = {0.0};
   };
   FusedAdam(std::vector<FusedParam> params, int64_t array_size, Options opt);
-  void step() override { step_impl(1.f); }
-  void step(double grad_scale) override {
-    step_impl(static_cast<float>(grad_scale));
-  }
-  using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 
  private:
-  void step_impl(float grad_scale);
+  void step_impl(float grad_scale) override;
   HyperVec beta1_, beta2_, eps_, weight_decay_;
   std::vector<Tensor> m_, v_;
   int64_t t_ = 0;
@@ -148,13 +141,11 @@ class FusedAdadelta : public FusedOptimizer {
   };
   FusedAdadelta(std::vector<FusedParam> params, int64_t array_size,
                 Options opt);
-  using FusedOptimizer::step;  // keep the grad_scale fallback visible
-  void step() override;
-  using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 
  private:
+  void step_impl(float grad_scale) override;
   HyperVec rho_, eps_, weight_decay_;
   std::vector<Tensor> square_avg_, acc_delta_;
 };

@@ -1,6 +1,8 @@
-// Fused learning-rate schedulers: each of the B models follows its own
-// schedule; step() recomputes the whole lr vector and hands it to the fused
-// optimizer (scalar-vector -> vector-vector, paper §3).
+// Learning-rate schedulers (StepLR / ExponentialLR / CosineAnnealingLR):
+// each of the B models follows its own schedule; step() recomputes the
+// whole lr vector and hands it to the fused optimizer (scalar-vector ->
+// vector-vector, paper §3). These are the repo's only schedulers: a serial
+// optimizer is a B = 1 FusedOptimizer, so it takes a B = 1 schedule.
 #pragma once
 
 #include "hfta/fused_optim.h"

@@ -63,13 +63,6 @@ class LossScaler {
     }
   }
 
-  /// In-place grad *= inv_scale, returning false if any element is
-  /// non-finite (inf/nan). Allocation-free (writes through the existing
-  /// buffer) and order-independent (the verdict is an OR over elements),
-  /// so it is bit-identical at any thread count. Defined in the .cpp so it
-  /// can use the parallel runtime.
-  static bool unscale_finite(Tensor& grad, double inv_scale);
-
  private:
   Options opts_;
   double scale_;

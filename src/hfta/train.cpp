@@ -39,13 +39,6 @@ uint64_t fingerprint(const fused::FusedOptimizer& opt) {
   return h;
 }
 
-uint64_t fingerprint(const nn::Optimizer& opt) {
-  uint64_t h = 1469598103934665603ull;
-  h = fnv_mix(h, opt.params().size());
-  for (const ag::Variable& p : opt.params()) h = fnv_var(h, p);
-  return h;
-}
-
 }  // namespace
 
 void TrainStep::finish_stats(const IterationScope& scope) {
@@ -75,22 +68,8 @@ ag::Variable TrainStep::run_impl(const ZeroFn& zero, const StepFn& step,
   return loss;
 }
 
-template <typename ZeroFn, typename StepFn>
-std::vector<ag::Variable> TrainStep::run_multi_impl(
-    const ZeroFn& zero, const StepFn& step, const MultiLossFn& loss_fn) {
-  IterationScope scope;
-  zero();
-  std::vector<ag::Variable> losses = loss_fn();
-  for (const ag::Variable& loss : losses) engine_.run(loss);
-  step();
-  ++stats_.steps;
-  stats_.last_was_replay = false;
-  finish_stats(scope);
-  return losses;
-}
-
-template <typename Opt>
-ag::Variable TrainStep::run_cached(Opt& opt, const LossFn& loss_fn) {
+ag::Variable TrainStep::run_cached(fused::FusedOptimizer& opt,
+                                   const LossFn& loss_fn) {
   ProgramSlot& slot = programs_[static_cast<const void*>(&opt)];
   uint64_t fp = fingerprint(opt);
   if (amp_) {
@@ -158,11 +137,6 @@ void TrainStep::enable_capture(int64_t warmup) {
              "must be warm before a program pins its buffers)");
   capture_ = true;
   warmup_ = warmup;
-}
-
-void TrainStep::disable_capture() {
-  capture_ = false;
-  programs_.clear();
 }
 
 void TrainStep::stage(Tensor* dst, const Tensor& src) {
@@ -250,18 +224,7 @@ bool TrainStep::grads_finite(fused::FusedOptimizer& opt, double inv_scale) {
   return finite;
 }
 
-bool TrainStep::grads_finite(nn::Optimizer& opt, double inv_scale) {
-  const float inv = static_cast<float>(inv_scale);
-  bool finite = true;
-  for (const ag::Variable& p : opt.params()) {
-    ag::Variable v = p;
-    finite &= grad_finite_scaled(v.grad(), inv);
-  }
-  return finite;
-}
-
-template <typename Opt>
-void TrainStep::amp_step(Opt& opt) {
+void TrainStep::amp_step(fused::FusedOptimizer& opt) {
   if (!amp_) {
     opt.step();
     return;
@@ -287,26 +250,19 @@ ag::Variable TrainStep::run(fused::FusedOptimizer& opt,
                   amp_, backward_seed());
 }
 
-ag::Variable TrainStep::run(nn::Optimizer& opt, const LossFn& loss_fn) {
-  if (capture_) return run_cached(opt, loss_fn);
-  return run_impl([&] { opt.zero_grad(); }, [&] { amp_step(opt); }, loss_fn,
-                  amp_, backward_seed());
-}
-
 std::vector<ag::Variable> TrainStep::run(fused::FusedOptimizer& opt,
                                          const MultiLossFn& loss_fn) {
   HFTA_CHECK(!amp_, "multi-loss run() does not support AMP (each loss would "
              "need its own scale bookkeeping)");
-  return run_multi_impl([&] { opt.zero_grad(); }, [&] { opt.step(); },
-                        loss_fn);
-}
-
-std::vector<ag::Variable> TrainStep::run(nn::Optimizer& opt,
-                                         const MultiLossFn& loss_fn) {
-  HFTA_CHECK(!amp_, "multi-loss run() does not support AMP (each loss would "
-             "need its own scale bookkeeping)");
-  return run_multi_impl([&] { opt.zero_grad(); }, [&] { opt.step(); },
-                        loss_fn);
+  IterationScope scope;
+  opt.zero_grad();
+  std::vector<ag::Variable> losses = loss_fn();
+  for (const ag::Variable& loss : losses) engine_.run(loss);
+  opt.step();
+  ++stats_.steps;
+  stats_.last_was_replay = false;
+  finish_stats(scope);
+  return losses;
 }
 
 ag::Variable TrainStep::run(nn::Module& model, const LossFn& loss_fn) {
@@ -329,18 +285,12 @@ void TrainLoop::run_loop(int64_t steps, Target& target,
         opts_.steps_per_epoch > 0 && (s + 1) % opts_.steps_per_epoch == 0;
     if (epoch_end) {
       if (opts_.fused_scheduler) opts_.fused_scheduler->step();
-      if (opts_.scheduler) opts_.scheduler->step();
       if (opts_.on_epoch_end) opts_.on_epoch_end((s + 1) / opts_.steps_per_epoch - 1);
     }
   }
 }
 
 void TrainLoop::run(int64_t steps, fused::FusedOptimizer& opt,
-                    const std::function<ag::Variable(int64_t)>& loss_fn) {
-  run_loop(steps, opt, loss_fn);
-}
-
-void TrainLoop::run(int64_t steps, nn::Optimizer& opt,
                     const std::function<ag::Variable(int64_t)>& loss_fn) {
   run_loop(steps, opt, loss_fn);
 }

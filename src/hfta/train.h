@@ -25,8 +25,6 @@
 #include "hfta/fused_sched.h"
 #include "hfta/loss_scaling.h"
 #include "nn/module.h"
-#include "nn/optim.h"
-#include "nn/sched.h"
 
 namespace hfta {
 
@@ -42,6 +40,10 @@ using MultiLossFn = std::function<std::vector<ag::Variable>()>;
 /// so per-step allocation behavior is observable. One TrainStep may drive
 /// several models/optimizers (the engine scratch is graph-agnostic);
 /// steady-state steps hit the storage pool for every tensor they allocate.
+///
+/// There is one optimizer interface, fused::FusedOptimizer: a serial run
+/// passes an nn::SGD / nn::Adam / nn::Adadelta, which is the B = 1 fused
+/// optimizer, so fused and serial steps take the same path.
 class TrainStep {
  public:
   struct Stats {
@@ -55,17 +57,14 @@ class TrainStep {
     int64_t amp_overflow_skips = 0;  // AMP steps skipped on non-finite grads
   };
 
-  /// Fused-array iteration: `opt` is zero_grad'ed and stepped around the
-  /// loss built by `loss_fn`. Returns the loss variable (its value is
-  /// alive; its tape has been consumed by backward).
+  /// One iteration of an array (or, at B = 1, of one serial model): `opt`
+  /// is zero_grad'ed and stepped around the loss built by `loss_fn`.
+  /// Returns the loss variable (its value is alive; its tape has been
+  /// consumed by backward).
   ag::Variable run(fused::FusedOptimizer& opt, const LossFn& loss_fn);
-  /// Serial counterpart (one of the B per-model runs).
-  ag::Variable run(nn::Optimizer& opt, const LossFn& loss_fn);
 
-  /// Multi-loss iterations (losses run backward in order, one step).
+  /// Multi-loss iteration (losses run backward in order, one step).
   std::vector<ag::Variable> run(fused::FusedOptimizer& opt,
-                                const MultiLossFn& loss_fn);
-  std::vector<ag::Variable> run(nn::Optimizer& opt,
                                 const MultiLossFn& loss_fn);
 
   /// Optimizer-free iteration (timing probes, gradient checks): the
@@ -78,7 +77,7 @@ class TrainStep {
 
   // ---- mixed precision (autocast + dynamic loss scaling) ----------------
   //
-  // With AMP enabled, the single-loss run() overloads build the loss under
+  // With AMP enabled, the single-loss optimizer run() builds the loss under
   // an AutocastGuard (GEMM/conv-class ops take low-precision inputs and
   // accumulate f32; see autograd/autocast.h) and apply dynamic loss
   // scaling through the backward SEED: seeding backward with the scale S
@@ -97,7 +96,7 @@ class TrainStep {
   // mode + dtype are mixed into each program's fingerprint so toggling
   // precision recaptures. The optimizer-free run(Module&) overload
   // autocasts but does not scale (there is no step to protect); the
-  // multi-loss overloads reject AMP.
+  // multi-loss overload rejects AMP.
 
   struct AmpOptions {
     DType dtype = DType::kBF16;
@@ -118,7 +117,7 @@ class TrainStep {
   // ---- step-program capture & replay ---------------------------------
   //
   // Opt-in (a data-varying loss builder would silently train on stale
-  // data): once enabled, the single-loss optimizer overloads of run()
+  // data): once enabled, the single-loss optimizer overload of run()
   // drive `warmup` eager steps per optimizer, capture the next step into
   // an ag::StepProgram, and replay it thereafter — no Node construction,
   // no closure allocation, no topo sort, and (warm) no heap allocation.
@@ -138,9 +137,6 @@ class TrainStep {
   /// optimizer (>= 1 so pooled buffers are warm when the program pins
   /// them).
   void enable_capture(int64_t warmup = 1);
-  /// Disables capture and drops every cached program.
-  void disable_capture();
-  bool capture_enabled() const { return capture_; }
 
   /// Stages per-step data into `*dst` (a tensor the captured graph
   /// reads): same-shape sources are copied in place so replays observe
@@ -158,7 +154,6 @@ class TrainStep {
   }
 
   const Stats& stats() const { return stats_; }
-  ag::Engine& engine() { return engine_; }
 
  private:
   struct ProgramSlot {
@@ -172,12 +167,7 @@ class TrainStep {
   template <typename ZeroFn, typename StepFn>
   ag::Variable run_impl(const ZeroFn& zero, const StepFn& step,
                         const LossFn& loss_fn, bool autocast, Tensor seed);
-  template <typename ZeroFn, typename StepFn>
-  std::vector<ag::Variable> run_multi_impl(const ZeroFn& zero,
-                                           const StepFn& step,
-                                           const MultiLossFn& loss_fn);
-  template <typename Opt>
-  ag::Variable run_cached(Opt& opt, const LossFn& loss_fn);
+  ag::Variable run_cached(fused::FusedOptimizer& opt, const LossFn& loss_fn);
   void finish_stats(const IterationScope& scope);
   void evict_lru();
 
@@ -191,12 +181,10 @@ class TrainStep {
   /// finite (the grads themselves are left scaled — the optimizer applies
   /// 1/S via step(grad_scale)).
   bool grads_finite(fused::FusedOptimizer& opt, double inv_scale);
-  bool grads_finite(nn::Optimizer& opt, double inv_scale);
   /// The optimizer step under the AMP contract: finiteness scan first,
   /// step(1/S) when clean, skip + backoff on overflow, scaler update either
   /// way. Plain opt.step() when AMP is off.
-  template <typename Opt>
-  void amp_step(Opt& opt);
+  void amp_step(fused::FusedOptimizer& opt);
 
   ag::Engine engine_;
   Stats stats_;
@@ -222,7 +210,6 @@ class TrainLoop {
     /// on_epoch_end fire after each full epoch.
     int64_t steps_per_epoch = 0;
     fused::FusedLRScheduler* fused_scheduler = nullptr;
-    nn::LRScheduler* scheduler = nullptr;
     std::function<void(int64_t epoch)> on_epoch_end;
     /// Scoring/tracing hook: (step index, that step's loss).
     std::function<void(int64_t step, const ag::Variable& loss)> on_step;
@@ -240,11 +227,8 @@ class TrainLoop {
     if (opts_.capture) step_.enable_capture(opts_.capture_warmup);
   }
 
-  /// Runs `steps` iterations of loss_fn against the fused optimizer.
+  /// Runs `steps` iterations of loss_fn against the optimizer.
   void run(int64_t steps, fused::FusedOptimizer& opt,
-           const std::function<ag::Variable(int64_t)>& loss_fn);
-  /// Serial-optimizer variant.
-  void run(int64_t steps, nn::Optimizer& opt,
            const std::function<ag::Variable(int64_t)>& loss_fn);
   /// Optimizer-free variant (timing probes).
   void run(int64_t steps, nn::Module& model,

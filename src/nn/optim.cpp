@@ -1,127 +1,32 @@
 #include "nn/optim.h"
 
-#include <cmath>
-
-#include "core/parallel.h"
-#include "core/vec.h"
-
 namespace hfta::nn {
 
-// The serial optimizers and their fused counterparts (hfta/fused_optim.cpp)
-// share the per-element update kernels in core/vec — ONE implementation of
-// each update expression, so fused-vs-serial bit-equality of the optimizer
-// step is true by construction rather than by keeping two scalar loops in
-// sync by hand. The kernels also read grads in place (no clone), dropping a
-// per-step allocation per parameter.
+namespace {
 
-void Optimizer::zero_grad() {
-  for (auto& p : params_) p.zero_grad();
+/// Plain parameters as the parameters of a one-model array.
+std::vector<fused::FusedParam> single_model(std::vector<ag::Variable> params) {
+  std::vector<fused::FusedParam> out;
+  out.reserve(params.size());
+  for (ag::Variable& p : params)
+    out.push_back(fused::FusedParam{std::move(p), 1});
+  return out;
 }
 
-void Optimizer::step(double grad_scale) {
-  // Fallback for optimizers without a fused grad-scale path: unscale every
-  // gradient in place (the same single multiply the fused path folds into
-  // its update) and run the plain step.
-  const float gs = static_cast<float>(grad_scale);
-  for (auto& p : params_) {
-    if (!p.has_grad()) continue;
-    float* pg = p.grad().data();
-    const int64_t n = p.grad().numel();
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      vec::unary(vec::UnOp::kMulScalar, gs, 0.f, pg + lo, pg + lo, hi - lo);
-    });
-  }
-  step();
-}
+}  // namespace
 
 SGD::SGD(std::vector<ag::Variable> params, Options opt)
-    : Optimizer(std::move(params)), opt_(opt) {
-  momentum_buf_.resize(params_.size());
-}
-
-void SGD::step_impl(float grad_scale) {
-  vec::SgdArgs s;
-  s.lr = static_cast<float>(opt_.lr);
-  s.weight_decay = static_cast<float>(opt_.weight_decay);
-  s.momentum = static_cast<float>(opt_.momentum);
-  s.grad_scale = grad_scale;
-  const bool has_momentum = opt_.momentum != 0.0;
-  for (size_t i = 0; i < params_.size(); ++i) {
-    ag::Variable& p = params_[i];
-    if (!p.has_grad()) continue;
-    // First step seeds buf = 0, so momentum*buf + g == g: the PyTorch
-    // first-step rule without a special case.
-    if (has_momentum && !momentum_buf_[i].defined())
-      momentum_buf_[i] = Tensor::zeros(p.shape());
-    vec::sgd(s, p.mutable_value().data(), p.grad().data(),
-             has_momentum ? momentum_buf_[i].data() : nullptr, p.numel());
-  }
-}
+    : fused::FusedSGD(single_model(std::move(params)), 1,
+                      {{opt.lr}, {opt.momentum}, {opt.weight_decay}}) {}
 
 Adam::Adam(std::vector<ag::Variable> params, Options opt)
-    : Optimizer(std::move(params)), opt_(opt) {
-  m_.resize(params_.size());
-  v_.resize(params_.size());
-}
-
-void Adam::step_impl(float grad_scale) {
-  ++t_;
-  const double bc1 = 1.0 - std::pow(opt_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(opt_.beta2, static_cast<double>(t_));
-  vec::AdamArgs s;
-  s.weight_decay = static_cast<float>(opt_.weight_decay);
-  s.beta1 = static_cast<float>(opt_.beta1);
-  s.one_minus_beta1 = 1.f - s.beta1;
-  s.beta2 = static_cast<float>(opt_.beta2);
-  s.one_minus_beta2 = 1.f - s.beta2;
-  s.step_size = static_cast<float>(opt_.lr / bc1);
-  s.inv_bc2 = static_cast<float>(1.0 / bc2);
-  s.eps = static_cast<float>(opt_.eps);
-  s.grad_scale = grad_scale;
-  for (size_t i = 0; i < params_.size(); ++i) {
-    ag::Variable& p = params_[i];
-    if (!p.has_grad()) continue;
-    if (!m_[i].defined()) {
-      m_[i] = Tensor::zeros(p.shape());
-      v_[i] = Tensor::zeros(p.shape());
-    }
-    vec::adam(s, p.mutable_value().data(), p.grad().data(), m_[i].data(),
-              v_[i].data(), p.numel());
-  }
-}
+    : fused::FusedAdam(single_model(std::move(params)), 1,
+                       {{opt.lr}, {opt.beta1}, {opt.beta2}, {opt.eps},
+                        {opt.weight_decay}}) {}
 
 Adadelta::Adadelta(std::vector<ag::Variable> params, Options opt)
-    : Optimizer(std::move(params)), opt_(opt) {
-  square_avg_.resize(params_.size());
-  acc_delta_.resize(params_.size());
-}
-
-void Adadelta::step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    ag::Variable& p = params_[i];
-    if (!p.has_grad()) continue;
-    Tensor g = p.grad().clone();
-    if (opt_.weight_decay != 0.0)
-      g.add_(p.value(), static_cast<float>(opt_.weight_decay));
-    if (!square_avg_[i].defined()) {
-      square_avg_[i] = Tensor::zeros(p.shape());
-      acc_delta_[i] = Tensor::zeros(p.shape());
-    }
-    float* sq = square_avg_[i].data();
-    float* ad = acc_delta_[i].data();
-    float* pp = p.mutable_value().data();
-    const float* pg = g.data();
-    const float rho = static_cast<float>(opt_.rho);
-    const float eps = static_cast<float>(opt_.eps);
-    const float lr = static_cast<float>(opt_.lr);
-    for (int64_t j = 0; j < p.numel(); ++j) {
-      sq[j] = rho * sq[j] + (1.f - rho) * pg[j] * pg[j];
-      const float delta =
-          std::sqrt(ad[j] + eps) / std::sqrt(sq[j] + eps) * pg[j];
-      ad[j] = rho * ad[j] + (1.f - rho) * delta * delta;
-      pp[j] -= lr * delta;
-    }
-  }
-}
+    : fused::FusedAdadelta(single_model(std::move(params)), 1,
+                           {{opt.lr}, {opt.rho}, {opt.eps},
+                            {opt.weight_decay}}) {}
 
 }  // namespace hfta::nn

@@ -1,40 +1,20 @@
-// Unfused optimizers: SGD (momentum / weight decay), Adam, Adadelta —
-// the three the paper exercises. The fused counterparts in src/hfta take
-// per-model hyper-parameter *vectors* and must match these step-for-step.
+// Serial optimizers: SGD (momentum / weight decay), Adam, Adadelta — the
+// three the paper exercises. Each is the B = 1 case of its fused
+// counterpart (hfta/fused_optim.h): the constructor wraps the plain
+// parameters as one-model FusedParams and lifts the scalar Options into
+// size-1 hyper-parameter vectors, and every step runs the fused code.
+// lr() is therefore a one-element vector, and the fused schedulers
+// (hfta/fused_sched.h) drive these optimizers too.
 #pragma once
 
 #include <vector>
 
 #include "autograd/variable.h"
+#include "hfta/fused_optim.h"
 
 namespace hfta::nn {
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<ag::Variable> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  virtual void step() = 0;
-  /// AMP step: folds grad_scale (1/S) into every gradient read instead of
-  /// unscaling the buffers first — bit-identical (one f32 multiply either
-  /// way), but gradients stay scaled in memory. The base implementation
-  /// unscales in place and calls step(), for optimizers without a fused
-  /// grad-scale path (Adadelta).
-  virtual void step(double grad_scale);
-  void zero_grad();
-
-  /// Scalar learning rate (schedulers call set_lr).
-  virtual double lr() const = 0;
-  virtual void set_lr(double lr) = 0;
-
-  const std::vector<ag::Variable>& params() const { return params_; }
-
- protected:
-  std::vector<ag::Variable> params_;
-};
-
-class SGD : public Optimizer {
+class SGD : public fused::FusedSGD {
  public:
   struct Options {
     double lr = 0.01;
@@ -42,20 +22,9 @@ class SGD : public Optimizer {
     double weight_decay = 0.0;
   };
   SGD(std::vector<ag::Variable> params, Options opt);
-  void step() override { step_impl(1.f); }
-  void step(double grad_scale) override {
-    step_impl(static_cast<float>(grad_scale));
-  }
-  double lr() const override { return opt_.lr; }
-  void set_lr(double lr) override { opt_.lr = lr; }
-
- private:
-  void step_impl(float grad_scale);
-  Options opt_;
-  std::vector<Tensor> momentum_buf_;
 };
 
-class Adam : public Optimizer {
+class Adam : public fused::FusedAdam {
  public:
   struct Options {
     double lr = 1e-3;
@@ -65,21 +34,9 @@ class Adam : public Optimizer {
     double weight_decay = 0.0;
   };
   Adam(std::vector<ag::Variable> params, Options opt);
-  void step() override { step_impl(1.f); }
-  void step(double grad_scale) override {
-    step_impl(static_cast<float>(grad_scale));
-  }
-  double lr() const override { return opt_.lr; }
-  void set_lr(double lr) override { opt_.lr = lr; }
-
- private:
-  void step_impl(float grad_scale);
-  Options opt_;
-  std::vector<Tensor> m_, v_;
-  int64_t t_ = 0;
 };
 
-class Adadelta : public Optimizer {
+class Adadelta : public fused::FusedAdadelta {
  public:
   struct Options {
     double lr = 1.0;
@@ -88,14 +45,6 @@ class Adadelta : public Optimizer {
     double weight_decay = 0.0;
   };
   Adadelta(std::vector<ag::Variable> params, Options opt);
-  using Optimizer::step;  // keep the grad_scale fallback visible
-  void step() override;
-  double lr() const override { return opt_.lr; }
-  void set_lr(double lr) override { opt_.lr = lr; }
-
- private:
-  Options opt_;
-  std::vector<Tensor> square_avg_, acc_delta_;
 };
 
 }  // namespace hfta::nn

@@ -681,7 +681,9 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
   auto opt2 = std::make_unique<FusedAdam>(
       collect_fused_parameters(*array2, 2), 2,
       FusedAdam::Options{.lr = select_hyper(lrs, keep)});
-  opt2->repack_state_from(*opt, keep);
+  std::vector<RepackPick> picks;
+  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
+  opt2->repack_state_from({opt.get()}, picks);
 
   train_fused(*array2, *opt2, 2, 3);
   train_serial(2, 3);

@@ -13,7 +13,6 @@
 #include "hfta/fusion.h"
 #include "hfta/loss_scaling.h"
 #include "nn/optim.h"
-#include "nn/sched.h"
 #include "tensor/ops.h"
 
 namespace hfta::fused {
@@ -161,20 +160,20 @@ TEST_P(FusedOptimB, StepLRPerModelSchedules) {
   FusedStepLR sched(fused, step_size, gamma);
   // Reference: B independent StepLR instances.
   std::vector<std::unique_ptr<nn::SGD>> plain;
-  std::vector<std::unique_ptr<nn::StepLR>> plain_sched;
+  std::vector<std::unique_ptr<FusedStepLR>> plain_sched;
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(std::make_unique<nn::SGD>(
         std::vector<ag::Variable>{s.plain_params[static_cast<size_t>(b)]},
         nn::SGD::Options{base[b]}));
-    plain_sched.push_back(
-        std::make_unique<nn::StepLR>(*plain.back(), step_size[b], gamma[b]));
+    plain_sched.push_back(std::make_unique<FusedStepLR>(
+        *plain.back(), std::vector<int64_t>{step_size[b]}, HyperVec{gamma[b]}));
   }
   for (int e = 0; e < 10; ++e) {
     sched.step();
     for (int64_t b = 0; b < B; ++b) {
       plain_sched[static_cast<size_t>(b)]->step();
       EXPECT_NEAR(fused.lr()[static_cast<size_t>(b)],
-                  plain[static_cast<size_t>(b)]->lr(), 1e-12)
+                  plain[static_cast<size_t>(b)]->lr()[0], 1e-12)
           << "epoch " << e << " model " << b;
     }
   }

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/layers.h"
 #include "nn/losses.h"
 #include "nn/norm.h"
+#include "hfta/fused_sched.h"
 #include "nn/optim.h"
-#include "nn/sched.h"
 #include "tensor/ops.h"
 
 namespace hfta::nn {
@@ -193,7 +194,7 @@ TEST(Optim, QuadraticBowlConvergence) {
   // min (p - 3)^2 with each optimizer.
   for (int which = 0; which < 3; ++which) {
     ag::Variable p(Tensor::zeros({1}), true);
-    std::unique_ptr<Optimizer> opt;
+    std::unique_ptr<fused::FusedOptimizer> opt;
     if (which == 0) opt = std::make_unique<SGD>(std::vector<ag::Variable>{p},
                                                 SGD::Options{.lr = 0.1});
     if (which == 1) opt = std::make_unique<Adam>(std::vector<ag::Variable>{p},
@@ -212,13 +213,98 @@ TEST(Optim, QuadraticBowlConvergence) {
   }
 }
 
+// ---- optimizers: hand-computed two-step references -------------------------
+//
+// The serial optimizers are the fused ones at B = 1, so a fused == serial
+// comparison cannot catch a wrong update formula. These pin the formulas
+// against values worked out by hand (in double) from the textbook updates,
+// on p0 = [1, -2, 0.5] with grads g1 = [0.5, -1, 2] then g2 = [1, 1, -1].
+
+const std::vector<float> kP0 = {1.f, -2.f, 0.5f};
+const std::vector<std::vector<float>> kGrads = {{0.5f, -1.f, 2.f},
+                                                {1.f, 1.f, -1.f}};
+
+void expect_values(const ag::Variable& p, const std::vector<double>& want,
+                   const char* what) {
+  const std::vector<float> got = p.value().to_vector();
+  for (size_t i = 0; i < want.size(); ++i)
+    EXPECT_NEAR(got[i], want[i], 2e-6) << what << " element " << i;
+}
+
+TEST(Optim, AdamTwoStepsMatchHandComputedBiasCorrection) {
+  // lr 0.1, betas (0.9, 0.999), eps 1e-8.
+  // Step 1: m = 0.1 g1, v = 0.001 g1^2; bc1 = 0.1, bc2 = 0.001, so
+  //   m/bc1 = g1 and sqrt(v/bc2) = |g1|: p1 = p0 - 0.1 sign(g1)
+  //   = [0.9, -1.9, 0.4] (up to eps/|g|).
+  // Step 2: m = 0.09 g1 + 0.1 g2 = [0.145, 0.01, 0.08],
+  //   v = 0.000999 g1^2 + 0.001 g2^2 = [0.00124975, 0.001999, 0.004996],
+  //   bc1 = 0.19, bc2 = 0.001999; p2 = p1 - 0.1 (m/0.19) / sqrt(v/0.001999).
+  //   Element 1: v/bc2 = 1, so p2 = -1.9 - 0.1 * 0.01/0.19 = -1.90526316.
+  ag::Variable p(Tensor::from_data({3}, kP0), true);
+  Adam opt({p}, {.lr = 0.1, .beta1 = 0.9, .beta2 = 0.999, .eps = 1e-8});
+  const std::vector<std::vector<double>> want = {
+      {0.900000002, -1.900000001, 0.4000000005},
+      {0.8034818006385094, -1.9052631588421052, 0.37336629670243154}};
+  for (size_t t = 0; t < 2; ++t) {
+    p.grad().copy_(Tensor::from_data({3}, kGrads[t]));
+    opt.step();
+    expect_values(p, want[t], t == 0 ? "adam step 1" : "adam step 2");
+  }
+}
+
+TEST(Optim, AdadeltaTwoStepsMatchHandComputedWeightDecay) {
+  // lr 1, rho 0.9, eps 1e-6, weight decay 0.1; per element:
+  //   g = grad + 0.1 p;  sq = 0.9 sq + 0.1 g^2;
+  //   delta = sqrt(ad + eps) / sqrt(sq + eps) * g;
+  //   ad = 0.9 ad + 0.1 delta^2;  p -= delta.
+  // Step 1 (sq = ad = 0): delta = 1e-3 g / sqrt(0.1 g^2 + 1e-6)
+  //   ~= sqrt(10) 1e-3 sign(g), e.g. element 0: g = 0.6, p1 = 0.99683777.
+  ag::Variable p(Tensor::from_data({3}, kP0), true);
+  Adadelta opt({p}, {.lr = 1.0, .rho = 0.9, .eps = 1e-6,
+                     .weight_decay = 0.1});
+  const std::vector<std::vector<double>> want = {
+      {0.9968377662594397, -1.9968377333199052, 0.49683772610220167},
+      {0.9928661782428418, -1.9994096998607231, 0.49880113773038326}};
+  for (size_t t = 0; t < 2; ++t) {
+    p.grad().copy_(Tensor::from_data({3}, kGrads[t]));
+    opt.step();
+    expect_values(p, want[t], t == 0 ? "adadelta step 1" : "adadelta step 2");
+  }
+}
+
+TEST(Optim, AdadeltaFoldedGradScaleIsBitIdentical) {
+  // step(0.25) on 4x-scaled grads folds the 1/4 into the gradient read;
+  // power-of-two scaling is exact, so it must equal step() on the unscaled
+  // grads bit for bit, state included (checked by a second step).
+  ag::Variable a(Tensor::from_data({3}, kP0), true);
+  ag::Variable b(Tensor::from_data({3}, kP0), true);
+  const Adadelta::Options o{.lr = 1.0, .rho = 0.9, .eps = 1e-6,
+                            .weight_decay = 0.1};
+  Adadelta plain({a}, o), folded({b}, o);
+  for (const std::vector<float>& g : kGrads) {
+    a.grad().copy_(Tensor::from_data({3}, g));
+    Tensor g4 = Tensor::from_data({3}, g);
+    g4.mul_(4.f);
+    b.grad().copy_(g4);
+    plain.step();
+    folded.step(0.25);
+    const std::vector<float> va = a.value().to_vector();
+    const std::vector<float> vb = b.value().to_vector();
+    EXPECT_EQ(std::memcmp(va.data(), vb.data(), va.size() * sizeof(float)),
+              0);
+  }
+}
+
+// ---- schedulers: the fused schedulers at B = 1 ------------------------------
+
 TEST(Sched, StepLRDecaysInStages) {
   ag::Variable p(Tensor::zeros({1}), true);
   SGD opt({p}, {.lr = 1.0});
-  StepLR sched(opt, /*step_size=*/3, /*gamma=*/0.1);
+  fused::FusedStepLR sched(opt, /*step_size=*/{3}, /*gamma=*/{0.1});
   std::vector<double> lrs;
   for (int e = 0; e < 7; ++e) {
-    lrs.push_back(opt.lr());
+    ASSERT_EQ(opt.lr().size(), 1u);
+    lrs.push_back(opt.lr()[0]);
     sched.step();
   }
   EXPECT_DOUBLE_EQ(lrs[0], 1.0);
@@ -230,12 +316,12 @@ TEST(Sched, StepLRDecaysInStages) {
 TEST(Sched, ExponentialAndCosine) {
   ag::Variable p(Tensor::zeros({1}), true);
   SGD opt({p}, {.lr = 1.0});
-  ExponentialLR exp_sched(opt, 0.5);
-  EXPECT_NEAR(exp_sched.lr_at(3), 0.125, 1e-12);
-  CosineAnnealingLR cos_sched(opt, 10, 0.0);
-  EXPECT_NEAR(cos_sched.lr_at(0), 1.0, 1e-12);
-  EXPECT_NEAR(cos_sched.lr_at(10), 0.0, 1e-12);
-  EXPECT_NEAR(cos_sched.lr_at(5), 0.5, 1e-12);
+  fused::FusedExponentialLR exp_sched(opt, {0.5});
+  EXPECT_NEAR(exp_sched.lr_at(3)[0], 0.125, 1e-12);
+  fused::FusedCosineAnnealingLR cos_sched(opt, {10}, {0.0});
+  EXPECT_NEAR(cos_sched.lr_at(0)[0], 1.0, 1e-12);
+  EXPECT_NEAR(cos_sched.lr_at(10)[0], 0.0, 1e-12);
+  EXPECT_NEAR(cos_sched.lr_at(5)[0], 0.5, 1e-12);
 }
 
 TEST(EndToEnd, TinyMLPLearnsXor) {
