@@ -19,7 +19,6 @@ class FusedMultiheadAttention : public FusedModule {
   /// (e.g. causal mask with -inf above the diagonal).
   ag::Variable forward(const ag::Variable& x) override;
   ag::Variable forward_masked(const ag::Variable& x, const Tensor& mask);
-  std::vector<FusedParam> fused_parameters() override;
 
   std::shared_ptr<FusedLinear> in_proj;   // E -> 3E
   std::shared_ptr<FusedLinear> out_proj;  // E -> E
@@ -35,7 +34,6 @@ class FusedTransformerEncoderLayer : public FusedModule {
   /// x: [B, N, S, E]; post-norm residual structure (as nn.TransformerEncoderLayer).
   ag::Variable forward(const ag::Variable& x) override;
   ag::Variable forward_masked(const ag::Variable& x, const Tensor& mask);
-  std::vector<FusedParam> fused_parameters() override;
 
   std::shared_ptr<FusedMultiheadAttention> self_attn;
   std::shared_ptr<FusedLinear> linear1, linear2;

@@ -4,18 +4,6 @@
 
 namespace hfta::fused {
 
-namespace {
-void block_copy(Tensor& dst, const Tensor& src, int64_t b, int64_t B) {
-  const int64_t block = dst.numel() / B;
-  HFTA_CHECK(src.numel() == block, "fused norm block copy: numel mismatch");
-  std::copy(src.data(), src.data() + block, dst.data() + b * block);
-}
-void block_extract(const Tensor& src, Tensor& dst, int64_t b, int64_t B) {
-  const int64_t block = src.numel() / B;
-  std::copy(src.data() + b * block, src.data() + (b + 1) * block, dst.data());
-}
-}  // namespace
-
 FusedBatchNorm2d::FusedBatchNorm2d(int64_t B, int64_t channels, float eps,
                                    float momentum)
     : FusedModule(B), channels(channels) {
@@ -25,24 +13,6 @@ FusedBatchNorm2d::FusedBatchNorm2d(int64_t B, int64_t channels, float eps,
 
 ag::Variable FusedBatchNorm2d::forward(const ag::Variable& x) {
   return impl->forward(x);
-}
-
-std::vector<FusedParam> FusedBatchNorm2d::fused_parameters() {
-  return {{impl->weight, array_size_}, {impl->bias, array_size_}};
-}
-
-void FusedBatchNorm2d::load_model(int64_t b, const nn::BatchNorm2d& m) {
-  block_copy(impl->weight.mutable_value(), m.weight.value(), b, array_size_);
-  block_copy(impl->bias.mutable_value(), m.bias.value(), b, array_size_);
-  block_copy(impl->running_mean, m.running_mean, b, array_size_);
-  block_copy(impl->running_var, m.running_var, b, array_size_);
-}
-
-void FusedBatchNorm2d::store_model(int64_t b, nn::BatchNorm2d& m) const {
-  block_extract(impl->weight.value(), m.weight.mutable_value(), b, array_size_);
-  block_extract(impl->bias.value(), m.bias.mutable_value(), b, array_size_);
-  block_extract(impl->running_mean, m.running_mean, b, array_size_);
-  block_extract(impl->running_var, m.running_var, b, array_size_);
 }
 
 StateMap FusedBatchNorm2d::state_map() const {
@@ -61,24 +31,6 @@ FusedBatchNorm1d::FusedBatchNorm1d(int64_t B, int64_t channels, float eps,
 
 ag::Variable FusedBatchNorm1d::forward(const ag::Variable& x) {
   return impl->forward(x);
-}
-
-std::vector<FusedParam> FusedBatchNorm1d::fused_parameters() {
-  return {{impl->weight, array_size_}, {impl->bias, array_size_}};
-}
-
-void FusedBatchNorm1d::load_model(int64_t b, const nn::BatchNorm1d& m) {
-  block_copy(impl->weight.mutable_value(), m.weight.value(), b, array_size_);
-  block_copy(impl->bias.mutable_value(), m.bias.value(), b, array_size_);
-  block_copy(impl->running_mean, m.running_mean, b, array_size_);
-  block_copy(impl->running_var, m.running_var, b, array_size_);
-}
-
-void FusedBatchNorm1d::store_model(int64_t b, nn::BatchNorm1d& m) const {
-  block_extract(impl->weight.value(), m.weight.mutable_value(), b, array_size_);
-  block_extract(impl->bias.value(), m.bias.mutable_value(), b, array_size_);
-  block_extract(impl->running_mean, m.running_mean, b, array_size_);
-  block_extract(impl->running_var, m.running_var, b, array_size_);
 }
 
 StateMap FusedBatchNorm1d::state_map() const {
@@ -115,20 +67,6 @@ ag::Variable FusedLayerNorm::forward(const ag::Variable& x) {
   ag::Variable w = ag::reshape(weight, bshape);
   ag::Variable b = ag::reshape(bias, bshape);
   return ag::add(ag::mul(xhat, w), b);
-}
-
-std::vector<FusedParam> FusedLayerNorm::fused_parameters() {
-  return {{weight, array_size_}, {bias, array_size_}};
-}
-
-void FusedLayerNorm::load_model(int64_t b, const nn::LayerNorm& m) {
-  block_copy(weight.mutable_value(), m.weight.value(), b, array_size_);
-  block_copy(bias.mutable_value(), m.bias.value(), b, array_size_);
-}
-
-void FusedLayerNorm::store_model(int64_t b, nn::LayerNorm& m) const {
-  block_extract(weight.value(), m.weight.mutable_value(), b, array_size_);
-  block_extract(bias.value(), m.bias.mutable_value(), b, array_size_);
 }
 
 }  // namespace hfta::fused

@@ -114,6 +114,8 @@ void transfer_slice(const StateEntry& e, int64_t B, int64_t b,
 
 void load_state(const StateMap& map, int64_t B, int64_t b,
                 const nn::Module& src) {
+  HFTA_CHECK(0 <= b && b < B, "load_state: model index ", b,
+             " out of range for array size ", B);
   if (map.empty()) return;
   const std::map<std::string, Tensor> tensors = collect_per_model_tensors(src);
   for (const StateEntry& e : map)
@@ -122,11 +124,21 @@ void load_state(const StateMap& map, int64_t B, int64_t b,
 }
 
 void store_state(const StateMap& map, int64_t B, int64_t b, nn::Module& dst) {
+  HFTA_CHECK(0 <= b && b < B, "store_state: model index ", b,
+             " out of range for array size ", B);
   if (map.empty()) return;
   const std::map<std::string, Tensor> tensors = collect_per_model_tensors(dst);
   for (const StateEntry& e : map)
     transfer_slice(e, B, b, find_per_model_tensor(tensors, e.path),
                    /*to_fused=*/false);
+}
+
+void FusedModule::load_model(int64_t b, const nn::Module& m) {
+  load_state(state_map(), array_size_, b, m);
+}
+
+void FusedModule::store_model(int64_t b, nn::Module& m) const {
+  store_state(state_map(), array_size_, b, m);
 }
 
 std::vector<FusedParam> collect_fused_parameters(nn::Module& root,
@@ -211,24 +223,6 @@ ag::Variable FusedConv2d::forward(const ag::Variable& x) {
   return ag::conv2d(x, weight, bias, fused_args);
 }
 
-std::vector<FusedParam> FusedConv2d::fused_parameters() {
-  std::vector<FusedParam> out = {{weight, array_size_}};
-  if (bias.defined()) out.push_back({bias, array_size_});
-  return out;
-}
-
-void FusedConv2d::load_model(int64_t b, const nn::Conv2d& m) {
-  copy_into_block(weight.mutable_value(), m.weight.value(), b, array_size_);
-  if (bias.defined())
-    copy_into_block(bias.mutable_value(), m.bias.value(), b, array_size_);
-}
-
-void FusedConv2d::store_model(int64_t b, nn::Conv2d& m) const {
-  copy_from_block(weight.value(), m.weight.mutable_value(), b, array_size_);
-  if (bias.defined())
-    copy_from_block(bias.value(), m.bias.mutable_value(), b, array_size_);
-}
-
 // ---- FusedConv1d --------------------------------------------------------------------
 
 FusedConv1d::FusedConv1d(int64_t B, int64_t in, int64_t out, int64_t kernel,
@@ -250,24 +244,6 @@ FusedConv1d::FusedConv1d(int64_t B, int64_t in, int64_t out, int64_t kernel,
 
 ag::Variable FusedConv1d::forward(const ag::Variable& x) {
   return ag::conv1d(x, weight, bias, stride, pad, fused_groups);
-}
-
-std::vector<FusedParam> FusedConv1d::fused_parameters() {
-  std::vector<FusedParam> out = {{weight, array_size_}};
-  if (bias.defined()) out.push_back({bias, array_size_});
-  return out;
-}
-
-void FusedConv1d::load_model(int64_t b, const nn::Conv1d& m) {
-  copy_into_block(weight.mutable_value(), m.weight.value(), b, array_size_);
-  if (bias.defined())
-    copy_into_block(bias.mutable_value(), m.bias.value(), b, array_size_);
-}
-
-void FusedConv1d::store_model(int64_t b, nn::Conv1d& m) const {
-  copy_from_block(weight.value(), m.weight.mutable_value(), b, array_size_);
-  if (bias.defined())
-    copy_from_block(bias.value(), m.bias.mutable_value(), b, array_size_);
 }
 
 // ---- FusedConvTranspose2d --------------------------------------------------------------
@@ -293,25 +269,6 @@ ag::Variable FusedConvTranspose2d::forward(const ag::Variable& x) {
   return ag::conv_transpose2d(x, weight, bias, fused_args);
 }
 
-std::vector<FusedParam> FusedConvTranspose2d::fused_parameters() {
-  std::vector<FusedParam> out = {{weight, array_size_}};
-  if (bias.defined()) out.push_back({bias, array_size_});
-  return out;
-}
-
-void FusedConvTranspose2d::load_model(int64_t b, const nn::ConvTranspose2d& m) {
-  copy_into_block(weight.mutable_value(), m.weight.value(), b, array_size_);
-  if (bias.defined())
-    copy_into_block(bias.mutable_value(), m.bias.value(), b, array_size_);
-}
-
-void FusedConvTranspose2d::store_model(int64_t b,
-                                       nn::ConvTranspose2d& m) const {
-  copy_from_block(weight.value(), m.weight.mutable_value(), b, array_size_);
-  if (bias.defined())
-    copy_from_block(bias.value(), m.bias.mutable_value(), b, array_size_);
-}
-
 // ---- FusedConvTranspose1d ------------------------------------------------------
 
 FusedConvTranspose1d::FusedConvTranspose1d(int64_t B, int64_t in, int64_t out,
@@ -335,25 +292,6 @@ ag::Variable FusedConvTranspose1d::forward(const ag::Variable& x) {
   return ag::conv_transpose1d(x, weight, bias, fused_args);
 }
 
-std::vector<FusedParam> FusedConvTranspose1d::fused_parameters() {
-  std::vector<FusedParam> out = {{weight, array_size_}};
-  if (bias.defined()) out.push_back({bias, array_size_});
-  return out;
-}
-
-void FusedConvTranspose1d::load_model(int64_t b, const nn::ConvTranspose1d& m) {
-  copy_into_block(weight.mutable_value(), m.weight.value(), b, array_size_);
-  if (bias.defined())
-    copy_into_block(bias.mutable_value(), m.bias.value(), b, array_size_);
-}
-
-void FusedConvTranspose1d::store_model(int64_t b,
-                                       nn::ConvTranspose1d& m) const {
-  copy_from_block(weight.value(), m.weight.mutable_value(), b, array_size_);
-  if (bias.defined())
-    copy_from_block(bias.value(), m.bias.mutable_value(), b, array_size_);
-}
-
 // ---- FusedLinear --------------------------------------------------------------------------
 
 FusedLinear::FusedLinear(int64_t B, int64_t in, int64_t out, bool has_bias,
@@ -374,28 +312,6 @@ ag::Variable FusedLinear::forward(const ag::Variable& x) {
              "], got ", shape_str(x.shape()));
   if (bias.defined()) return ag::baddbmm(bias, x, weight);
   return ag::bmm(x, weight);
-}
-
-std::vector<FusedParam> FusedLinear::fused_parameters() {
-  std::vector<FusedParam> out = {{weight, array_size_}};
-  if (bias.defined()) out.push_back({bias, array_size_});
-  return out;
-}
-
-void FusedLinear::load_model(int64_t b, const nn::Linear& m) {
-  // nn::Linear stores [out, in]; the fused layout is [B, in, out].
-  Tensor wt = m.weight.value().transpose(0, 1);  // [in, out]
-  copy_into_block(weight.mutable_value(), wt, b, array_size_);
-  if (bias.defined())
-    copy_into_block(bias.mutable_value(), m.bias.value(), b, array_size_);
-}
-
-void FusedLinear::store_model(int64_t b, nn::Linear& m) const {
-  Tensor wt({in_features, out_features});
-  copy_from_block(weight.value(), wt, b, array_size_);
-  m.weight.mutable_value().copy_(wt.transpose(0, 1));
-  if (bias.defined())
-    copy_from_block(bias.value(), m.bias.mutable_value(), b, array_size_);
 }
 
 StateMap FusedLinear::state_map() const {
@@ -429,18 +345,6 @@ ag::Variable FusedEmbedding::lookup(const Tensor& indices) {
     for (int64_t i = 0; i < per_model; ++i) p[b * per_model + i] += off;
   }
   return ag::embedding(shifted, weight);
-}
-
-std::vector<FusedParam> FusedEmbedding::fused_parameters() {
-  return {{weight, array_size_}};
-}
-
-void FusedEmbedding::load_model(int64_t b, const nn::Embedding& m) {
-  copy_into_block(weight.mutable_value(), m.weight.value(), b, array_size_);
-}
-
-void FusedEmbedding::store_model(int64_t b, nn::Embedding& m) const {
-  copy_from_block(weight.value(), m.weight.mutable_value(), b, array_size_);
 }
 
 // ---- pooling / dropout -----------------------------------------------------------------------

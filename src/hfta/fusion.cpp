@@ -66,10 +66,6 @@ std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape) {
   return out;
 }
 
-void copy_module_state(const nn::Module& src, nn::Module& dst) {
-  nn::copy_state(src, dst);
-}
-
 // ---- diagnostics -----------------------------------------------------------
 
 const char* layout_name(Layout l) {
@@ -419,24 +415,24 @@ void FusedArray::load_model(int64_t b, const nn::Module& per_model_root) {
                "' not found in the per-model tree");
     if (!s.fused) {
       auto& adapter = static_cast<UnfusedBlockAdapter&>(*s.module);
-      copy_module_state(*src, *adapter.replicas()[static_cast<size_t>(b)]);
+      nn::copy_state(*src, *adapter.replicas()[static_cast<size_t>(b)]);
     } else {
       load_state(s.state, array_size_, b, *src);
     }
   }
 }
 
-void FusedArray::save_model(int64_t b, nn::Module& per_model_root) const {
-  HFTA_CHECK(b >= 0 && b < array_size_, "FusedArray::save_model: bad index");
+void FusedArray::store_model(int64_t b, nn::Module& per_model_root) const {
+  HFTA_CHECK(b >= 0 && b < array_size_, "FusedArray::store_model: bad index");
   for (const Step& s : steps_) {
     if (s.fused && s.state.empty()) continue;  // stateless step
     nn::Module* dst = per_model_root.find(s.path);
-    HFTA_CHECK(dst != nullptr, "FusedArray::save_model: path '", s.path,
+    HFTA_CHECK(dst != nullptr, "FusedArray::store_model: path '", s.path,
                "' not found in the per-model tree");
     if (!s.fused) {
       const auto& adapter =
           static_cast<const UnfusedBlockAdapter&>(*s.module);
-      copy_module_state(*adapter.replicas()[static_cast<size_t>(b)], *dst);
+      nn::copy_state(*adapter.replicas()[static_cast<size_t>(b)], *dst);
     } else {
       store_state(s.state, array_size_, b, *dst);
     }
@@ -517,7 +513,7 @@ FusedArray::Step make_adapter_step(
   s.out = Layout::kChannelFused;
   s.path = path;
   // No StateMap: adapter replicas are whole per-model modules, transferred
-  // by nn::copy_state in FusedArray::{load,save}_model.
+  // by nn::copy_state in FusedArray::{load,store}_model.
   s.fused = false;
   s.unit = unit;
   return s;
@@ -667,19 +663,10 @@ std::shared_ptr<FusedArray> FusionPlan::repack_multi(
     std::shared_ptr<nn::Module> tree = template_model.clone();
     HFTA_CHECK(tree != nullptr, "FusionPlan::repack_multi: template kind '",
                template_model.kind_name(), "' has no clone support");
-    sources[p.source]->save_model(p.model, *tree);
+    sources[p.source]->store_model(p.model, *tree);
     survivors.push_back(std::move(tree));
   }
   return compile(survivors, rng);
-}
-
-std::shared_ptr<FusedArray> FusionPlan::repack(
-    const FusedArray& src, const std::vector<int64_t>& keep,
-    const nn::Module& template_model, Rng& rng) const {
-  std::vector<RepackPick> picks;
-  picks.reserve(keep.size());
-  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
-  return repack_multi({&src}, picks, template_model, rng);
 }
 
 std::shared_ptr<FusedArray> FusionPlan::compile_impl(

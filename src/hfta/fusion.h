@@ -54,11 +54,6 @@ Tensor fuse_blocks(const std::vector<Tensor>& per_model);
 /// Splits a dim-0-block fused tensor into B per-model tensors of `shape`.
 std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape);
 
-/// Copies every parameter and buffer of `src` into the structurally
-/// identical module `dst` (used to (re)load unfused replicas). Alias of
-/// nn::copy_state, kept under its historical fused:: name.
-void copy_module_state(const nn::Module& src, nn::Module& dst);
-
 // ---- planner ---------------------------------------------------------------
 
 /// The two fused data layouts of DESIGN.md §2. kAny marks layout-agnostic
@@ -182,7 +177,7 @@ class FusedArray : public FusedModule {
     std::string kind;  // the per-model layer kind this step lowers
     /// Schema of the step's per-model state, derived once at lowering time
     /// and validated against the per-model reference layer; load_model and
-    /// save_model both walk it (empty = stateless step). Unfused adapter
+    /// store_model both walk it (empty = stateless step). Unfused adapter
     /// steps transfer via nn::copy_state on their owned replicas instead.
     StateMap state;
     bool fused = true;
@@ -207,7 +202,12 @@ class FusedArray : public FusedModule {
   /// tensor, not the B per-model streams) are neither extracted nor part of
   /// the fused/serial equivalence contract to begin with; a repacked array
   /// restarts those streams.
-  void save_model(int64_t b, nn::Module& per_model_root) const;
+  void store_model(int64_t b, nn::Module& per_model_root) const;
+  /// Former name of store_model, still called by the benchmark harness
+  /// (perfbench/steady.cpp); remove together with that call.
+  void save_model(int64_t b, nn::Module& per_model_root) const {
+    store_model(b, per_model_root);
+  }
 
   const std::vector<Step>& steps() const { return steps_; }
   /// Number of top-level fusion units (granularity of fuse_mask).
@@ -258,7 +258,7 @@ class FusionPlan {
 
   /// Repacks survivors drawn from SEVERAL live arrays into one fresh array
   /// of this plan's size: model j of the result is model picks[j].model of
-  /// sources[picks[j].source], extracted via save_model into clones of
+  /// sources[picks[j].source], extracted via store_model into clones of
   /// `template_model` and recompiled. Weights and buffers (BN running stats
   /// included) carry over exactly, so the survivors continue training
   /// bit-exactly as if they had always shared one array (optimizer state
@@ -270,13 +270,6 @@ class FusionPlan {
       const std::vector<const FusedArray*>& sources,
       const std::vector<RepackPick>& picks, const nn::Module& template_model,
       Rng& rng) const;
-
-  /// Single-source convenience: model j of the result is model keep[j] of
-  /// `src`. Thin delegate to repack_multi — one code path for both.
-  std::shared_ptr<FusedArray> repack(const FusedArray& src,
-                                     const std::vector<int64_t>& keep,
-                                     const nn::Module& template_model,
-                                     Rng& rng) const;
 
   int64_t array_size() const { return array_size_; }
   const FusionOptions& options() const { return opts_; }

@@ -105,7 +105,7 @@ ag::Variable TrainStep::run_cached(fused::FusedOptimizer& opt,
     return slot.program.loss();
   }
 
-  if (slot.eager_runs < warmup_) {
+  if (slot.eager_runs < kCaptureWarmup) {
     ++slot.eager_runs;
     return run_impl([&] { opt.zero_grad(); }, [&] { amp_step(opt); }, loss_fn,
                     amp_, backward_seed());
@@ -132,12 +132,7 @@ ag::Variable TrainStep::run_cached(fused::FusedOptimizer& opt,
   return loss;
 }
 
-void TrainStep::enable_capture(int64_t warmup) {
-  HFTA_CHECK(warmup >= 1, "enable_capture: warmup must be >= 1 (the pool "
-             "must be warm before a program pins its buffers)");
-  capture_ = true;
-  warmup_ = warmup;
-}
+void TrainStep::enable_capture() { capture_ = true; }
 
 void TrainStep::stage(Tensor* dst, const Tensor& src) {
   HFTA_CHECK(dst != nullptr, "stage: null destination");

@@ -118,8 +118,8 @@ class TrainStep {
   //
   // Opt-in (a data-varying loss builder would silently train on stale
   // data): once enabled, the single-loss optimizer overload of run()
-  // drive `warmup` eager steps per optimizer, capture the next step into
-  // an ag::StepProgram, and replay it thereafter — no Node construction,
+  // drive kCaptureWarmup eager steps per optimizer, capture the next step
+  // into an ag::StepProgram, and replay it thereafter — no Node construction,
   // no closure allocation, no topo sort, and (warm) no heap allocation.
   //
   // Static-input discipline: during replay the loss builder is NOT
@@ -133,10 +133,13 @@ class TrainStep {
   // fingerprint and recaptures automatically; stage() with a new shape
   // invalidates every program (batch-size change reshapes the graph).
 
-  /// Enables capture on this TrainStep after `warmup` eager steps per
-  /// optimizer (>= 1 so pooled buffers are warm when the program pins
-  /// them).
-  void enable_capture(int64_t warmup = 1);
+  /// Eager steps per optimizer before its capture: one, so the pool is warm
+  /// before a program pins its buffers.
+  static constexpr int64_t kCaptureWarmup = 1;
+
+  /// Enables capture on this TrainStep after kCaptureWarmup eager steps
+  /// per optimizer.
+  void enable_capture();
 
   /// Stages per-step data into `*dst` (a tensor the captured graph
   /// reads): same-shape sources are copied in place so replays observe
@@ -190,7 +193,6 @@ class TrainStep {
   Stats stats_;
   std::unordered_map<const void*, ProgramSlot> programs_;
   bool capture_ = false;
-  int64_t warmup_ = 1;
   int64_t use_clock_ = 0;
   bool amp_ = false;
   DType amp_dtype_ = DType::kBF16;
@@ -213,18 +215,18 @@ class TrainLoop {
     std::function<void(int64_t epoch)> on_epoch_end;
     /// Scoring/tracing hook: (step index, that step's loss).
     std::function<void(int64_t step, const ag::Variable& loss)> on_step;
-    /// Capture the step into a replayable program after `capture_warmup`
-    /// eager steps (see TrainStep::enable_capture and its static-input
-    /// discipline — the loss builder is not called during replay).
+    /// Capture the step into a replayable program after
+    /// TrainStep::kCaptureWarmup eager steps (see TrainStep::enable_capture
+    /// and its static-input discipline — the loss builder is not called
+    /// during replay).
     bool capture = false;
-    int64_t capture_warmup = 1;
   };
 
   TrainLoop() = default;
   // Delegating overload instead of `Options opts = {}`: GCC rejects
   // defaulted {} for nested structs with NSDMI.
   explicit TrainLoop(Options opts) : opts_(std::move(opts)) {
-    if (opts_.capture) step_.enable_capture(opts_.capture_warmup);
+    if (opts_.capture) step_.enable_capture();
   }
 
   /// Runs `steps` iterations of loss_fn against the optimizer.

@@ -117,12 +117,4 @@ ag::Variable FusedBertModel::forward_tokens(const Tensor& tokens) {
   return ag::reshape(mlm_head->forward(flat), {B, N, S, cfg.vocab});
 }
 
-void FusedBertModel::load_model(int64_t b, const BertModel& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedBertModel::store_model(int64_t b, BertModel& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
-}
-
 }  // namespace hfta::models

@@ -47,8 +47,6 @@ class FusedBertModel : public fused::FusedModule {
   ag::Variable forward(const ag::Variable&) override;
   /// tokens: [B, N, S] -> [B, N, S, V].
   ag::Variable forward_tokens(const Tensor& tokens);
-  void load_model(int64_t b, const BertModel& m);
-  void store_model(int64_t b, BertModel& m) const;
 
   std::shared_ptr<fused::FusedEmbedding> tok_embed, pos_embed;
   std::shared_ptr<fused::FusedLayerNorm> embed_norm;

@@ -271,14 +271,6 @@ ag::Variable FusedSqueezeExcite::forward(const ag::Variable& x) {
   return ag::mul(x, s);
 }
 
-void FusedSqueezeExcite::load_model(int64_t b, const SqueezeExcite& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedSqueezeExcite::store_model(int64_t b, SqueezeExcite& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
-}
-
 FusedBneck::FusedBneck(int64_t B, int64_t in, const BneckSpec& spec,
                        const MobileNetV3Config& cfg, Rng& rng)
     : fused::FusedModule(B), use_hswish(spec.hswish), use_relu6(spec.relu6) {
@@ -323,14 +315,6 @@ ag::Variable FusedBneck::forward(const ag::Variable& x) {
   return residual ? ag::add(h, x) : h;
 }
 
-void FusedBneck::load_model(int64_t b, const Bneck& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedBneck::store_model(int64_t b, Bneck& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
-}
-
 FusedMobileNetV3::FusedMobileNetV3(int64_t B, const MobileNetV3Config& cfg,
                                    Rng& rng)
     : fused::FusedModule(B), cfg(cfg) {
@@ -371,14 +355,6 @@ ag::Variable FusedMobileNetV3::forward(const ag::Variable& x) {
   h = fused::to_model_major(h, array_size_);              // [B, N, C]
   h = ag::hardswish(fc1->forward(h));
   return fc2->forward(h);                                 // [B, N, classes]
-}
-
-void FusedMobileNetV3::load_model(int64_t b, const MobileNetV3& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedMobileNetV3::store_model(int64_t b, MobileNetV3& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
 }
 
 }  // namespace hfta::models

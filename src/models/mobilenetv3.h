@@ -106,8 +106,6 @@ class FusedSqueezeExcite : public fused::FusedModule {
  public:
   FusedSqueezeExcite(int64_t B, int64_t channels, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const SqueezeExcite& m);
-  void store_model(int64_t b, SqueezeExcite& m) const;
   std::shared_ptr<fused::FusedConv2d> fc1, fc2;
 };
 
@@ -116,8 +114,6 @@ class FusedBneck : public fused::FusedModule {
   FusedBneck(int64_t B, int64_t in, const BneckSpec& spec,
              const MobileNetV3Config& cfg, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const Bneck& m);
-  void store_model(int64_t b, Bneck& m) const;
 
   std::shared_ptr<fused::FusedConv2d> expand_conv, dw_conv, project_conv;
   std::shared_ptr<fused::FusedBatchNorm2d> expand_bn, dw_bn, project_bn;
@@ -130,8 +126,6 @@ class FusedMobileNetV3 : public fused::FusedModule {
   FusedMobileNetV3(int64_t B, const MobileNetV3Config& cfg, Rng& rng);
   /// x: [N, B*3, S, S] -> model-major logits [B, N, classes].
   ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const MobileNetV3& m);
-  void store_model(int64_t b, MobileNetV3& m) const;
 
   std::shared_ptr<fused::FusedConv2d> stem_conv, last_conv;
   std::shared_ptr<fused::FusedBatchNorm2d> stem_bn, last_bn;

@@ -206,14 +206,6 @@ ag::Variable FusedSTN::forward(const ag::Variable& x) {
                      {array_size_, N, channels, channels});
 }
 
-void FusedSTN::load_model(int64_t b, const STN& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedSTN::store_model(int64_t b, STN& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
-}
-
 // ---- fused trunk ------------------------------------------------------------------------
 
 FusedPointNetTrunk::FusedPointNetTrunk(int64_t B, const PointNetConfig& cfg,
@@ -261,14 +253,6 @@ std::pair<ag::Variable, ag::Variable> FusedPointNetTrunk::forward_both(
 
 ag::Variable FusedPointNetTrunk::forward(const ag::Variable& x) {
   return forward_both(x).second;
-}
-
-void FusedPointNetTrunk::load_model(int64_t b, const PointNetTrunk& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedPointNetTrunk::store_model(int64_t b, PointNetTrunk& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
 }
 
 // ---- fused classification --------------------------------------------------------------------
@@ -330,10 +314,6 @@ ag::Variable FusedPointNetSeg::forward(const ag::Variable& x) {
   h = ag::relu(bn1->forward(conv1->forward(h)));
   h = ag::relu(bn2->forward(conv2->forward(h)));
   return conv3->forward(h);  // [N, B*parts, L]
-}
-
-void FusedPointNetSeg::load_model(int64_t b, const PointNetSeg& m) {
-  fused::load_state(state_map(), array_size_, b, m);
 }
 
 }  // namespace hfta::models

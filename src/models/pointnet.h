@@ -98,8 +98,6 @@ class FusedSTN : public fused::FusedModule {
   FusedSTN(int64_t B, int64_t channels, const PointNetConfig& cfg, Rng& rng);
   /// x: [N, B*C, L] -> transforms [B, N, C, C].
   ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const STN& m);
-  void store_model(int64_t b, STN& m) const;
 
   std::shared_ptr<fused::FusedConv1d> conv1, conv2;
   std::shared_ptr<fused::FusedBatchNorm1d> bn1, bn2;
@@ -113,8 +111,6 @@ class FusedPointNetTrunk : public fused::FusedModule {
   ag::Variable forward(const ag::Variable& x) override;
   /// x: [N, B*3, L] -> {pointfeat [N, B*w1, L], global [N, B*w3]}.
   std::pair<ag::Variable, ag::Variable> forward_both(const ag::Variable& x);
-  void load_model(int64_t b, const PointNetTrunk& m);
-  void store_model(int64_t b, PointNetTrunk& m) const;
 
   std::shared_ptr<FusedSTN> stn;
   std::shared_ptr<fused::FusedConv1d> conv1, conv2, conv3;
@@ -140,7 +136,6 @@ class FusedPointNetSeg : public fused::FusedModule {
   FusedPointNetSeg(int64_t B, const PointNetConfig& cfg, Rng& rng);
   /// x: [N, B*3, L] -> [N, B*num_parts, L] (channel-fused per-point logits).
   ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const PointNetSeg& m);
 
   std::shared_ptr<FusedPointNetTrunk> trunk;
   std::shared_ptr<fused::FusedConv1d> conv1, conv2, conv3;

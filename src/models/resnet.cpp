@@ -127,14 +127,6 @@ ag::Variable FusedBasicBlock::forward(const ag::Variable& x) {
   return ag::relu(ag::add(h, skip));
 }
 
-void FusedBasicBlock::load_model(int64_t b, const BasicBlock& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedBasicBlock::store_model(int64_t b, BasicBlock& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
-}
-
 ResNetFusionMask ResNetFusionMask::partially_unfused(int64_t n) {
   ResNetFusionMask m;
   int64_t left = n;

@@ -63,8 +63,6 @@ class FusedBasicBlock : public fused::FusedModule {
  public:
   FusedBasicBlock(int64_t B, int64_t in, int64_t out, int64_t stride, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const BasicBlock& m);
-  void store_model(int64_t b, BasicBlock& m) const;
 
   std::shared_ptr<fused::FusedConv2d> conv1, conv2, down_conv;
   std::shared_ptr<fused::FusedBatchNorm2d> bn1, bn2, down_bn;

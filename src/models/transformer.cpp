@@ -210,15 +210,6 @@ ag::Variable FusedTransformerLM::forward_tokens(const Tensor& tokens) {
   return ag::reshape(decoder->forward(flat), {B, N, S, cfg.vocab});
 }
 
-void FusedTransformerLM::load_model(int64_t b, const TransformerLM& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedTransformerLM::store_model(int64_t b, TransformerLM& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
-}
-
-
 nn::ModuleConfig TransformerLM::config() const {
   nn::ModuleConfig c;
   c.set("vocab", cfg.vocab);

@@ -90,8 +90,6 @@ class FusedTransformerLM : public fused::FusedModule {
   ag::Variable forward(const ag::Variable&) override;
   /// tokens: [B, N, S] -> logits [B, N, S, V].
   ag::Variable forward_tokens(const Tensor& tokens);
-  void load_model(int64_t b, const TransformerLM& m);
-  void store_model(int64_t b, TransformerLM& m) const;
 
   std::shared_ptr<fused::FusedEmbedding> embed;
   std::vector<std::shared_ptr<fused::FusedTransformerEncoderLayer>> layers;

@@ -130,7 +130,7 @@ class Module {
   /// Resolves a dotted child path ("trunk.conv1"); "" is this module itself.
   /// Returns nullptr when the path does not exist.
   const Module* find(const std::string& path) const;
-  /// Mutable overload (used by FusedArray::save_model to write a model's
+  /// Mutable overload (used by FusedArray::store_model to write a model's
   /// state back into a per-model tree).
   Module* find(const std::string& path);
 

@@ -535,7 +535,7 @@ TEST(FusionPlan, EncoderLayerStackLowersThroughRegistry) {
   expect_equivalent(*array, nets, xs, 1e-3);
 }
 
-// ---- save_model / repack ---------------------------------------------------
+// ---- store_model / repack --------------------------------------------------
 
 // conv/BN/linear stack with one masked-off (unfused-adapter) unit: exercises
 // fused block storers, the adapter's copy_state storer, and BN buffers.
@@ -581,7 +581,7 @@ TEST(SaveModel, TrainSaveReloadRoundTripIsBitExact) {
   std::vector<std::shared_ptr<nn::Module>> saved;
   for (int64_t b = 0; b < kB; ++b) {
     saved.push_back(nets[static_cast<size_t>(b)]->clone());
-    array->save_model(b, *saved.back());
+    array->store_model(b, *saved.back());
   }
   auto reloaded = FusionPlan(kB, opts).compile(saved, rng);
   array->eval();
@@ -594,7 +594,7 @@ TEST(SaveModel, TrainSaveReloadRoundTripIsBitExact) {
 TEST(SaveModel, CompositeEncoderLayerStoreIsDerivedFromStateMap) {
   // Store support used to be a per-kind hand-written lambda, and the
   // encoder layer shipped without one ("no store support"). Under the
-  // schema-derived transfer it works like every other kind: save_model
+  // schema-derived transfer it works like every other kind: store_model
   // round-trips every parameter bit-exactly.
   Rng rng(22);
   const int64_t E = 8, H = 2, FF = 16;
@@ -608,11 +608,11 @@ TEST(SaveModel, CompositeEncoderLayerStoreIsDerivedFromStateMap) {
   auto array = FusionPlan(kB).compile(nets, rng);
   for (int64_t b = 0; b < kB; ++b) {
     const std::shared_ptr<nn::Module> out = nets[b]->clone();
-    // Scramble the clone so the comparison can only pass if save_model
+    // Scramble the clone so the comparison can only pass if store_model
     // actually wrote every tensor.
     for (auto& [name, p] : out->named_parameters())
       p.mutable_value().fill_(-7.5f);
-    array->save_model(b, *out);
+    array->store_model(b, *out);
     const auto want = nets[b]->named_parameters();
     const auto got = out->named_parameters();
     ASSERT_EQ(want.size(), got.size());
@@ -676,13 +676,13 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
 
   // Halve: keep models 2 and 0 (order scrambled on purpose); model 1 dies.
   const std::vector<int64_t> keep = {2, 0};
+  std::vector<RepackPick> picks;
+  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
   const FusionPlan plan2(2, opts);
-  auto array2 = plan2.repack(*array, keep, *nets[0], rng);
+  auto array2 = plan2.repack_multi({array.get()}, picks, *nets[0], rng);
   auto opt2 = std::make_unique<FusedAdam>(
       collect_fused_parameters(*array2, 2), 2,
       FusedAdam::Options{.lr = select_hyper(lrs, keep)});
-  std::vector<RepackPick> picks;
-  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
   opt2->repack_state_from({opt.get()}, picks);
 
   train_fused(*array2, *opt2, 2, 3);
@@ -705,7 +705,7 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
         0.0)
         << "survivor " << j;
     auto tree = nets[0]->clone();
-    array2->save_model(static_cast<int64_t>(j), *tree);
+    array2->store_model(static_cast<int64_t>(j), *tree);
     const auto got = tree->named_parameters();
     const auto want = serial[b]->named_parameters();
     ASSERT_EQ(got.size(), want.size());
@@ -765,7 +765,7 @@ TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
         Tensor handle = t;
         handle.fill_(-7.5f);
       }
-      array->save_model(b, *out);
+      array->store_model(b, *out);
       const auto wp = donors[ub]->named_parameters();
       const auto gp = out->named_parameters();
       ASSERT_EQ(wp.size(), gp.size()) << kind;
@@ -911,7 +911,7 @@ TEST(RepackMulti, SurvivorsFromTwoArraysMergeAndContinueBitExactly) {
         0.0)
         << "survivor " << j;
     auto tree = nets[0]->clone();
-    merged->save_model(static_cast<int64_t>(j), *tree);
+    merged->store_model(static_cast<int64_t>(j), *tree);
     const auto got = tree->named_parameters();
     const auto want = serial[b]->named_parameters();
     ASSERT_EQ(got.size(), want.size());

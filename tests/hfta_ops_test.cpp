@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "hfta/fused_attention.h"
 #include "hfta/fused_norm.h"
@@ -193,15 +195,154 @@ TEST_P(FusionB, LinearEquivalenceViaBaddbmm) {
   }
 }
 
-TEST_P(FusionB, LinearWeightRoundTrip) {
+// One row per leaf kind with per-model state: a fused module of array size
+// B and a congruent per-model layer.
+struct LeafKind {
+  const char* name;
+  std::function<std::shared_ptr<FusedModule>(int64_t B, Rng&)> fused;
+  std::function<std::shared_ptr<nn::Module>(Rng&)> plain;
+};
+
+std::vector<LeafKind> leaf_kinds() {
+  using std::make_shared;
+  return {
+      {"Conv2d",
+       [](int64_t B, Rng& r) {
+         return make_shared<FusedConv2d>(B, 3, 4, 3, 1, 1, 1, true, r);
+       },
+       [](Rng& r) {
+         return make_shared<nn::Conv2d>(3, 4, 3, 1, 1, 1, true, r);
+       }},
+      {"Conv1d",
+       [](int64_t B, Rng& r) {
+         return make_shared<FusedConv1d>(B, 3, 4, 2, 1, 0, 1, true, r);
+       },
+       [](Rng& r) {
+         return make_shared<nn::Conv1d>(3, 4, 2, 1, 0, 1, true, r);
+       }},
+      {"ConvTranspose2d",
+       [](int64_t B, Rng& r) {
+         return make_shared<FusedConvTranspose2d>(B, 4, 3, 4, 2, 1, 0, 1,
+                                                  true, r);
+       },
+       [](Rng& r) {
+         return make_shared<nn::ConvTranspose2d>(4, 3, 4, 2, 1, 0, 1, true, r);
+       }},
+      {"ConvTranspose1d",
+       [](int64_t B, Rng& r) {
+         return make_shared<FusedConvTranspose1d>(B, 4, 3, 4, 2, 1, 0, 1,
+                                                  true, r);
+       },
+       [](Rng& r) {
+         return make_shared<nn::ConvTranspose1d>(4, 3, 4, 2, 1, 0, 1, true, r);
+       }},
+      {"Linear",
+       [](int64_t B, Rng& r) {
+         return make_shared<FusedLinear>(B, 4, 3, true, r);
+       },
+       [](Rng& r) { return make_shared<nn::Linear>(4, 3, true, r); }},
+      {"Embedding",
+       [](int64_t B, Rng& r) {
+         return make_shared<FusedEmbedding>(B, 7, 4, r);
+       },
+       [](Rng& r) { return make_shared<nn::Embedding>(7, 4, r); }},
+      {"BatchNorm2d",
+       [](int64_t B, Rng&) { return make_shared<FusedBatchNorm2d>(B, 4); },
+       [](Rng&) { return make_shared<nn::BatchNorm2d>(4); }},
+      {"BatchNorm1d",
+       [](int64_t B, Rng&) { return make_shared<FusedBatchNorm1d>(B, 4); },
+       [](Rng&) { return make_shared<nn::BatchNorm1d>(4); }},
+      {"LayerNorm",
+       [](int64_t B, Rng& r) {
+         return make_shared<FusedLayerNorm>(B, Shape{5}, 1e-5f, r);
+       },
+       [](Rng& r) { return make_shared<nn::LayerNorm>(Shape{5}, 1e-5f, r); }},
+  };
+}
+
+// Every parameter and buffer of `m`, as storage-sharing handles.
+std::vector<std::pair<std::string, Tensor>> state_tensors(
+    const nn::Module& m) {
+  std::vector<std::pair<std::string, Tensor>> out;
+  for (const auto& [name, var] : m.named_parameters())
+    out.emplace_back(name, var.value());
+  for (const auto& [name, t] : nn::named_buffers_recursive(m))
+    out.emplace_back(name, t);
+  return out;
+}
+
+// Overwrites all state (BatchNorm running stats included) with random
+// values, so no tensor keeps its constructor default.
+void randomize_state(const nn::Module& m, Rng& rng) {
+  for (auto& [name, t] : state_tensors(m))
+    t.copy_(Tensor::randn(t.shape(), rng));
+}
+
+bool bitwise_equal(const float* a, const float* b, int64_t n) {
+  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+TEST_P(FusionB, LeafStateRoundTrip) {
   const int64_t B = GetParam();
   Rng rng(650 + B);
+  for (const LeafKind& kind : leaf_kinds()) {
+    for (const int64_t b : {int64_t{0}, B - 1}) {
+      SCOPED_TRACE(std::string(kind.name) + " b=" + std::to_string(b));
+      std::shared_ptr<FusedModule> fused = kind.fused(B, rng);
+      randomize_state(*fused, rng);
+      std::shared_ptr<nn::Module> src = kind.plain(rng);
+      std::shared_ptr<nn::Module> dst = kind.plain(rng);
+      randomize_state(*src, rng);
+      randomize_state(*dst, rng);
+      const auto fused_state = state_tensors(*fused);
+      std::vector<Tensor> before;
+      for (const auto& [name, t] : fused_state) before.push_back(t.clone());
+
+      fused->load_model(b, *src);
+      // Only model b's block may change.
+      for (size_t i = 0; i < fused_state.size(); ++i) {
+        const Tensor& t = fused_state[i].second;
+        const int64_t block = t.numel() / B;
+        for (int64_t o = 0; o < B; ++o) {
+          if (o == b) continue;
+          EXPECT_TRUE(bitwise_equal(t.data() + o * block,
+                                    before[i].data() + o * block, block))
+              << fused_state[i].first << ": model " << o << "'s block changed";
+        }
+      }
+
+      fused->store_model(b, *dst);
+      const auto src_state = state_tensors(*src);
+      const auto dst_state = state_tensors(*dst);
+      ASSERT_EQ(src_state.size(), dst_state.size());
+      for (size_t i = 0; i < src_state.size(); ++i) {
+        const Tensor& want = src_state[i].second;
+        const Tensor& got = dst_state[i].second;
+        ASSERT_EQ(want.shape(), got.shape()) << src_state[i].first;
+        EXPECT_TRUE(bitwise_equal(want.data(), got.data(), want.numel()))
+            << src_state[i].first << " did not round-trip";
+      }
+    }
+  }
+}
+
+TEST_P(FusionB, StateTransferRejectsBadIndexAndMismatchedModule) {
+  const int64_t B = GetParam();
+  Rng rng(660 + B);
+  for (const LeafKind& kind : leaf_kinds()) {
+    SCOPED_TRACE(kind.name);
+    std::shared_ptr<FusedModule> fused = kind.fused(B, rng);
+    std::shared_ptr<nn::Module> m = kind.plain(rng);
+    EXPECT_THROW(fused->load_model(B, *m), hfta::Error);
+    EXPECT_THROW(fused->load_model(-1, *m), hfta::Error);
+    EXPECT_THROW(fused->store_model(B, *m), hfta::Error);
+  }
+  // A per-model layer of another size is a runtime error, not a silent
+  // partial copy.
   FusedLinear fused(B, 4, 3, true, rng);
-  nn::Linear src(4, 3, true, rng), dst(4, 3, true, rng);
-  fused.load_model(B - 1, src);
-  fused.store_model(B - 1, dst);
-  EXPECT_EQ(ops::max_abs_diff(src.weight.value(), dst.weight.value()), 0.f);
-  EXPECT_EQ(ops::max_abs_diff(src.bias.value(), dst.bias.value()), 0.f);
+  nn::Linear wrong(5, 3, true, rng);
+  EXPECT_THROW(fused.load_model(0, wrong), hfta::Error);
+  EXPECT_THROW(fused.store_model(0, wrong), hfta::Error);
 }
 
 TEST_P(FusionB, BatchNorm2dTrainingAndEval) {
