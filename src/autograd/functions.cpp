@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <tuple>
 
 #include "autograd/autocast.h"
 #include "autograd/step_program.h"
@@ -22,19 +23,21 @@ bool any_needs_tape(const std::vector<Variable>& ins) {
 // Creates the output variable; records the node only when some input is on
 // the tape (constant folding keeps graphs small).
 //
-// `fwd` is the op's recompute thunk: a callable capturing the input
-// *tensors* by value (shared storage — the step program's pinned buffers)
-// that re-runs the forward kernel. Eager execution evaluates it exactly
-// once at the call site (`fwd()` produced `out`); when a StepProgram is
-// recording, the thunk is additionally appended to the program — including
-// for off-tape constant subgraphs, whose values may be data-dependent and
-// must refresh on replay. `fwd` stays a template parameter so the eager
-// path never type-erases it (no std::function allocation per op).
+// `fwd` is the op's forward thunk: a callable capturing the input *tensors*
+// by value (shared storage — the step program's pinned buffers) that runs
+// the forward kernel into an optional destination. Eager execution calls
+// `fwd()` exactly once at the call site, and the kernel allocates `out`;
+// when a StepProgram is recording, `fwd(out)` is appended to it, so replay
+// runs the same kernel straight into the pinned output — including for
+// off-tape constant subgraphs, whose values may be data-dependent and must
+// refresh on replay. `fwd` stays a template parameter so the eager path
+// never type-erases it (no std::function allocation per op).
 template <typename Fwd>
 Variable make_op(const char* name, Tensor out, const Fwd& fwd,
                  std::vector<Variable> inputs,
                  std::function<std::vector<Tensor>(const Tensor&)> backward) {
-  if (StepProgram* rec = StepProgram::recording()) rec->record_op(out, fwd);
+  if (StepProgram* rec = StepProgram::recording())
+    rec->record([fwd, out] { fwd(out); });
   if (!any_needs_tape(inputs)) return Variable(std::move(out));
   auto node = std::make_shared<Node>();
   node->name = name;
@@ -52,7 +55,9 @@ Variable constant(Tensor value) { return Variable(std::move(value)); }
 Variable cast(const Variable& a, DType dtype) {
   if (a.value().dtype() == dtype) return a;
   Tensor av = a.value();
-  auto fwd = [av, dtype] { return ops::cast(av, dtype); };
+  auto fwd = [av, dtype](const Tensor& o = {}) {
+    return ops::cast(av, dtype, o);
+  };
   return make_op("cast", fwd(), fwd, {a},
                  [](const Tensor& gy) -> std::vector<Tensor> {
                    return {gy};
@@ -64,7 +69,7 @@ Variable cast(const Variable& a, DType dtype) {
 Variable add(const Variable& a, const Variable& b) {
   Shape sa = a.shape(), sb = b.shape();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv] { return ops::add(av, bv); };
+  auto fwd = [av, bv](const Tensor& o = {}) { return ops::add(av, bv, o); };
   return make_op("add", fwd(), fwd, {a, b},
                  [sa, sb](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::reduce_to_shape(gy, sa),
@@ -75,7 +80,7 @@ Variable add(const Variable& a, const Variable& b) {
 Variable sub(const Variable& a, const Variable& b) {
   Shape sa = a.shape(), sb = b.shape();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv] { return ops::sub(av, bv); };
+  auto fwd = [av, bv](const Tensor& o = {}) { return ops::sub(av, bv, o); };
   return make_op("sub", fwd(), fwd, {a, b},
                  [sa, sb](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::reduce_to_shape(gy, sa),
@@ -86,7 +91,7 @@ Variable sub(const Variable& a, const Variable& b) {
 Variable mul(const Variable& a, const Variable& b) {
   Shape sa = a.shape(), sb = b.shape();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv] { return ops::mul(av, bv); };
+  auto fwd = [av, bv](const Tensor& o = {}) { return ops::mul(av, bv, o); };
   return make_op("mul", fwd(), fwd, {a, b},
                  [sa, sb, av, bv](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::reduce_to_shape(ops::mul(gy, bv), sa),
@@ -97,7 +102,7 @@ Variable mul(const Variable& a, const Variable& b) {
 Variable div(const Variable& a, const Variable& b) {
   Shape sa = a.shape(), sb = b.shape();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv] { return ops::div(av, bv); };
+  auto fwd = [av, bv](const Tensor& o = {}) { return ops::div(av, bv, o); };
   return make_op(
       "div", fwd(), fwd, {a, b},
       [sa, sb, av, bv](const Tensor& gy) -> std::vector<Tensor> {
@@ -112,14 +117,18 @@ Variable div(const Variable& a, const Variable& b) {
 
 Variable add_scalar(const Variable& a, float s) {
   Tensor av = a.value();
-  auto fwd = [av, s] { return ops::add_scalar(av, s); };
+  auto fwd = [av, s](const Tensor& o = {}) {
+    return ops::add_scalar(av, s, o);
+  };
   return make_op("add_scalar", fwd(), fwd, {a},
                  [](const Tensor& gy) -> std::vector<Tensor> { return {gy}; });
 }
 
 Variable mul_scalar(const Variable& a, float s) {
   Tensor av = a.value();
-  auto fwd = [av, s] { return ops::mul_scalar(av, s); };
+  auto fwd = [av, s](const Tensor& o = {}) {
+    return ops::mul_scalar(av, s, o);
+  };
   return make_op("mul_scalar", fwd(), fwd, {a},
                  [s](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::mul_scalar(gy, s)};
@@ -130,7 +139,7 @@ Variable mul_scalar(const Variable& a, float s) {
 
 Variable neg(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::neg(av); };
+  auto fwd = [av](const Tensor& o = {}) { return ops::neg(av, o); };
   return make_op("neg", fwd(), fwd, {a},
                  [](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::neg(gy)};
@@ -139,7 +148,7 @@ Variable neg(const Variable& a) {
 
 Variable exp(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::exp(av); };
+  auto fwd = [av](const Tensor& o = {}) { return ops::exp(av, o); };
   Tensor y = fwd();
   return make_op("exp", y, fwd, {a},
                  [y](const Tensor& gy) -> std::vector<Tensor> {
@@ -149,7 +158,7 @@ Variable exp(const Variable& a) {
 
 Variable log(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] { return ops::log(x); };
+  auto fwd = [x](const Tensor& o = {}) { return ops::log(x, o); };
   return make_op("log", fwd(), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::div(gy, x)};
@@ -158,7 +167,7 @@ Variable log(const Variable& a) {
 
 Variable sqrt(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::sqrt(av); };
+  auto fwd = [av](const Tensor& o = {}) { return ops::sqrt(av, o); };
   Tensor y = fwd();
   return make_op("sqrt", y, fwd, {a},
                  [y](const Tensor& gy) -> std::vector<Tensor> {
@@ -168,7 +177,7 @@ Variable sqrt(const Variable& a) {
 
 Variable tanh(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::tanh(av); };
+  auto fwd = [av](const Tensor& o = {}) { return ops::tanh(av, o); };
   Tensor y = fwd();
   return make_op("tanh", y, fwd, {a},
                  [y](const Tensor& gy) -> std::vector<Tensor> {
@@ -180,7 +189,7 @@ Variable tanh(const Variable& a) {
 
 Variable sigmoid(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::sigmoid(av); };
+  auto fwd = [av](const Tensor& o = {}) { return ops::sigmoid(av, o); };
   Tensor y = fwd();
   return make_op("sigmoid", y, fwd, {a},
                  [y](const Tensor& gy) -> std::vector<Tensor> {
@@ -192,7 +201,7 @@ Variable sigmoid(const Variable& a) {
 
 Variable relu(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] { return ops::relu(x); };
+  auto fwd = [x](const Tensor& o = {}) { return ops::relu(x, o); };
   return make_op("relu", fwd(), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    // One-pass masked multiply (no materialized mask tensor);
@@ -203,7 +212,7 @@ Variable relu(const Variable& a) {
 
 Variable relu6(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] { return ops::clamp(x, 0.f, 6.f); };
+  auto fwd = [x](const Tensor& o = {}) { return ops::clamp(x, 0.f, 6.f, o); };
   return make_op("relu6", fwd(), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor m = ops::unary(x, [](float v) {
@@ -215,7 +224,9 @@ Variable relu6(const Variable& a) {
 
 Variable leaky_relu(const Variable& a, float slope) {
   Tensor x = a.value();
-  auto fwd = [x, slope] { return ops::leaky_relu(x, slope); };
+  auto fwd = [x, slope](const Tensor& o = {}) {
+    return ops::leaky_relu(x, slope, o);
+  };
   return make_op("leaky_relu", fwd(), fwd, {a},
                  [x, slope](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor m = ops::unary(x, [slope](float v) {
@@ -227,7 +238,7 @@ Variable leaky_relu(const Variable& a, float slope) {
 
 Variable pow_scalar(const Variable& a, float p) {
   Tensor x = a.value();
-  auto fwd = [x, p] { return ops::pow_scalar(x, p); };
+  auto fwd = [x, p](const Tensor& o = {}) { return ops::pow_scalar(x, p, o); };
   return make_op("pow_scalar", fwd(), fwd, {a},
                  [x, p](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor d = ops::mul_scalar(ops::pow_scalar(x, p - 1.f), p);
@@ -237,10 +248,10 @@ Variable pow_scalar(const Variable& a, float p) {
 
 Variable hardsigmoid(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] {
-    return ops::unary(x, [](float v) {
-      return std::min(6.f, std::max(0.f, v + 3.f)) / 6.f;
-    });
+  auto fwd = [x](const Tensor& o = {}) {
+    return ops::unary(
+        x, [](float v) { return std::min(6.f, std::max(0.f, v + 3.f)) / 6.f; },
+        o);
   };
   return make_op("hardsigmoid", fwd(), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
@@ -253,10 +264,11 @@ Variable hardsigmoid(const Variable& a) {
 
 Variable hardswish(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] {
-    return ops::unary(x, [](float v) {
-      return v * std::min(6.f, std::max(0.f, v + 3.f)) / 6.f;
-    });
+  auto fwd = [x](const Tensor& o = {}) {
+    return ops::unary(
+        x,
+        [](float v) { return v * std::min(6.f, std::max(0.f, v + 3.f)) / 6.f; },
+        o);
   };
   return make_op("hardswish", fwd(), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
@@ -273,11 +285,14 @@ Variable gelu(const Variable& a) {
   // tanh approximation of GELU (as used in BERT).
   Tensor x = a.value();
   constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  auto fwd = [x] {
-    return ops::unary(x, [](float v) {
-      const float inner = kC * (v + 0.044715f * v * v * v);
-      return 0.5f * v * (1.f + std::tanh(inner));
-    });
+  auto fwd = [x](const Tensor& o = {}) {
+    return ops::unary(
+        x,
+        [](float v) {
+          const float inner = kC * (v + 0.044715f * v * v * v);
+          return 0.5f * v * (1.f + std::tanh(inner));
+        },
+        o);
   };
   return make_op("gelu", fwd(), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
@@ -318,7 +333,9 @@ DType gemm_quantize_dtype() {
 Variable matmul(const Variable& a, const Variable& b) {
   const DType q = gemm_quantize_dtype();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q] { return ops::matmul(av, bv, q, q); };
+  auto fwd = [av, bv, q](const Tensor& o = {}) {
+    return ops::matmul(av, bv, q, q, o);
+  };
   return make_op("matmul", fwd(), fwd, {a, b},
                  [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::matmul_nt(gy, bv, DType::kF32, q),
@@ -329,7 +346,9 @@ Variable matmul(const Variable& a, const Variable& b) {
 Variable bmm(const Variable& a, const Variable& b) {
   const DType q = gemm_quantize_dtype();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q] { return ops::bmm(av, bv, q, q); };
+  auto fwd = [av, bv, q](const Tensor& o = {}) {
+    return ops::bmm(av, bv, q, q, o);
+  };
   return make_op("bmm", fwd(), fwd, {a, b},
                  [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::bmm_nt(gy, bv, DType::kF32, q),
@@ -340,7 +359,9 @@ Variable bmm(const Variable& a, const Variable& b) {
 Variable bmm_nt(const Variable& a, const Variable& b) {
   const DType q = gemm_quantize_dtype();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q] { return ops::bmm_nt(av, bv, q, q); };
+  auto fwd = [av, bv, q](const Tensor& o = {}) {
+    return ops::bmm_nt(av, bv, q, q, o);
+  };
   return make_op("bmm_nt", fwd(), fwd, {a, b},
                  [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
                    // y = a @ b^T: ga = gy @ b; gb = gy^T @ a.
@@ -354,7 +375,9 @@ Variable baddbmm(const Variable& bias, const Variable& a,
   const DType q = gemm_quantize_dtype();
   Tensor biasv = bias.value(), av = a.value(), bv = b.value();
   Shape sbias = bias.shape();
-  auto fwd = [biasv, av, bv, q] { return ops::baddbmm(biasv, av, bv, q, q); };
+  auto fwd = [biasv, av, bv, q](const Tensor& o = {}) {
+    return ops::baddbmm(biasv, av, bv, q, q, o);
+  };
   return make_op("baddbmm", fwd(), fwd, {bias, a, b},
                  [sbias, av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::reduce_to_shape(gy, sbias),
@@ -372,7 +395,9 @@ Variable linear(const Variable& x, const Variable& w,
   const int64_t in = wv.size(1);
   const int64_t out = wv.size(0);
   const int64_t rows = xv.numel() / in;
-  auto fwd = [xv, wv, bv, q] { return ops::linear_forward(xv, wv, bv, q, q); };
+  auto fwd = [xv, wv, bv, q](const Tensor& o = {}) {
+    return ops::linear_forward(xv, wv, bv, q, q, o);
+  };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
@@ -398,7 +423,9 @@ Variable conv2d(const Variable& x_in, const Variable& w_in, const Variable& b,
   const Variable x = autocast_input(x_in), w = autocast_input(w_in);
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args] { return ops::conv2d(xv, wv, bv, args); };
+  auto fwd = [xv, wv, bv, args](const Tensor& o = {}) {
+    return ops::conv2d(xv, wv, bv, args, o);
+  };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
@@ -419,8 +446,8 @@ Variable conv1d(const Variable& x_in, const Variable& w_in, const Variable& b,
   const Variable x = autocast_input(x_in), w = autocast_input(w_in);
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, stride, pad, groups] {
-    return ops::conv1d(xv, wv, bv, stride, pad, groups);
+  auto fwd = [xv, wv, bv, stride, pad, groups](const Tensor& o = {}) {
+    return ops::conv1d(xv, wv, bv, stride, pad, groups, o);
   };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
@@ -447,8 +474,8 @@ Variable conv_transpose2d(const Variable& x_in, const Variable& w_in,
   const Variable x = autocast_input(x_in), w = autocast_input(w_in);
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args] {
-    return ops::conv_transpose2d(xv, wv, bv, args);
+  auto fwd = [xv, wv, bv, args](const Tensor& o = {}) {
+    return ops::conv_transpose2d(xv, wv, bv, args, o);
   };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
@@ -471,8 +498,8 @@ Variable conv_transpose1d(const Variable& x_in, const Variable& w_in,
   const Variable x = autocast_input(x_in), w = autocast_input(w_in);
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args] {
-    return ops::conv_transpose1d(xv, wv, bv, args);
+  auto fwd = [xv, wv, bv, args](const Tensor& o = {}) {
+    return ops::conv_transpose1d(xv, wv, bv, args, o);
   };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
@@ -493,27 +520,25 @@ Variable conv_transpose1d(const Variable& x_in, const Variable& w_in,
 
 Variable max_pool2d(const Variable& x, const ops::PoolArgs& args) {
   Tensor xv = x.value();
-  // The argmax indices are forward state the backward needs. A replayed
-  // step recomputes them for the staged data, so the backward closure
-  // reads them through a shared box the thunk refreshes — the same
-  // pinned-state pattern as op outputs, for non-output state.
-  auto idx_box = std::make_shared<Tensor>();
-  auto fwd = [xv, args, idx_box] {
-    auto [y, idx] = ops::max_pool2d(xv, args);
-    *idx_box = idx;
-    return y;
+  // The argmax indices are forward state the backward needs: pinned like
+  // the output, and rewritten in place by every replay.
+  Tensor y, idx;
+  std::tie(y, idx) = ops::max_pool2d(xv, args);
+  auto fwd = [xv, args, idx](const Tensor& o) {
+    return ops::max_pool2d(xv, args, o, idx).first;
   };
-  Tensor y = fwd();
   const Shape x_shape = x.shape();
   return make_op("max_pool2d", y, fwd, {x},
-                 [idx_box, x_shape](const Tensor& gy) -> std::vector<Tensor> {
-                   return {ops::max_pool2d_backward(gy, *idx_box, x_shape)};
+                 [idx, x_shape](const Tensor& gy) -> std::vector<Tensor> {
+                   return {ops::max_pool2d_backward(gy, idx, x_shape)};
                  });
 }
 
 Variable avg_pool2d(const Variable& x, const ops::PoolArgs& args) {
   Tensor xv = x.value();
-  auto fwd = [xv, args] { return ops::avg_pool2d(xv, args); };
+  auto fwd = [xv, args](const Tensor& o = {}) {
+    return ops::avg_pool2d(xv, args, o);
+  };
   const Shape x_shape = x.shape();
   return make_op("avg_pool2d", fwd(), fwd, {x},
                  [x_shape, args](const Tensor& gy) -> std::vector<Tensor> {
@@ -523,7 +548,9 @@ Variable avg_pool2d(const Variable& x, const ops::PoolArgs& args) {
 
 Variable adaptive_avg_pool2d(const Variable& x, int64_t oh, int64_t ow) {
   Tensor xv = x.value();
-  auto fwd = [xv, oh, ow] { return ops::adaptive_avg_pool2d(xv, oh, ow); };
+  auto fwd = [xv, oh, ow](const Tensor& o = {}) {
+    return ops::adaptive_avg_pool2d(xv, oh, ow, o);
+  };
   const Shape x_shape = x.shape();
   return make_op("adaptive_avg_pool2d", fwd(), fwd, {x},
                  [x_shape](const Tensor& gy) -> std::vector<Tensor> {
@@ -533,18 +560,15 @@ Variable adaptive_avg_pool2d(const Variable& x, int64_t oh, int64_t ow) {
 
 Variable global_max_pool1d(const Variable& x) {
   Tensor xv = x.value();
-  auto idx_box = std::make_shared<Tensor>();  // see max_pool2d
-  auto fwd = [xv, idx_box] {
-    auto [y, idx] = ops::max_pool1d_global(xv);
-    *idx_box = idx;
-    return y;
+  Tensor y, idx;  // indices: see max_pool2d
+  std::tie(y, idx) = ops::max_pool1d_global(xv);
+  auto fwd = [xv, idx](const Tensor& o) {
+    return ops::max_pool1d_global(xv, o, idx).first;
   };
-  Tensor y = fwd();
   const Shape x_shape = x.shape();
   return make_op("global_max_pool1d", y, fwd, {x},
-                 [idx_box, x_shape](const Tensor& gy) -> std::vector<Tensor> {
-                   return {
-                       ops::max_pool1d_global_backward(gy, *idx_box, x_shape)};
+                 [idx, x_shape](const Tensor& gy) -> std::vector<Tensor> {
+                   return {ops::max_pool1d_global_backward(gy, idx, x_shape)};
                  });
 }
 
@@ -553,7 +577,11 @@ Variable global_max_pool1d(const Variable& x) {
 Variable reshape(const Variable& x, Shape shape) {
   const Shape x_shape = x.shape();
   Tensor xv = x.value();
-  auto fwd = [xv, shape] { return xv.reshape(shape); };
+  // A view: replay is handed this very view of the pinned input, so there
+  // is nothing to run.
+  auto fwd = [xv, shape](const Tensor& o = {}) {
+    return o.defined() ? o : xv.reshape(shape);
+  };
   return make_op("reshape", fwd(), fwd, {x},
                  [x_shape](const Tensor& gy) -> std::vector<Tensor> {
                    return {gy.reshape(x_shape)};
@@ -562,7 +590,7 @@ Variable reshape(const Variable& x, Shape shape) {
 
 Variable transpose(const Variable& x, int64_t a, int64_t b) {
   Tensor xv = x.value();
-  auto fwd = [xv, a, b] { return xv.transpose(a, b); };
+  auto fwd = [xv, a, b](const Tensor& o = {}) { return xv.transpose(a, b, o); };
   return make_op("transpose", fwd(), fwd, {x},
                  [a, b](const Tensor& gy) -> std::vector<Tensor> {
                    return {gy.transpose(a, b)};
@@ -574,7 +602,7 @@ Variable permute(const Variable& x, std::vector<int64_t> perm) {
   for (size_t i = 0; i < perm.size(); ++i)
     inv[static_cast<size_t>(perm[i])] = static_cast<int64_t>(i);
   Tensor xv = x.value();
-  auto fwd = [xv, perm] { return xv.permute(perm); };
+  auto fwd = [xv, perm](const Tensor& o = {}) { return xv.permute(perm, o); };
   return make_op("permute", fwd(), fwd, {x},
                  [inv](const Tensor& gy) -> std::vector<Tensor> {
                    return {gy.permute(inv)};
@@ -588,7 +616,9 @@ Variable concat(const std::vector<Variable>& xs, int64_t dim) {
   for (const Variable& v : xs) {
     vals.push_back(v.value());
   }
-  auto fwd = [vals, dim] { return ops::concat(vals, dim); };
+  auto fwd = [vals, dim](const Tensor& o = {}) {
+    return ops::concat(vals, dim, o);
+  };
   Tensor y = fwd();
   int64_t d = dim < 0 ? dim + static_cast<int64_t>(y.dim()) : dim;
   for (const Variable& v : xs) sizes.push_back(v.size(d));
@@ -602,7 +632,9 @@ Variable slice(const Variable& x, int64_t dim, int64_t start, int64_t end) {
   const Shape x_shape = x.shape();
   int64_t d = dim < 0 ? dim + x.dim() : dim;
   Tensor xv = x.value();
-  auto fwd = [xv, d, start, end] { return xv.slice(d, start, end); };
+  auto fwd = [xv, d, start, end](const Tensor& o = {}) {
+    return xv.slice(d, start, end, o);
+  };
   return make_op("slice", fwd(), fwd, {x},
                  [x_shape, d, start](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor gx = Tensor::zeros(x_shape);
@@ -647,7 +679,9 @@ Variable sum(const Variable& x, std::vector<int64_t> dims, bool keepdim) {
   Shape keep_shape = x_shape;
   for (int64_t d : nd) keep_shape[static_cast<size_t>(d)] = 1;
   Tensor xv = x.value();
-  auto fwd = [xv, nd, keepdim] { return ops::sum(xv, nd, keepdim); };
+  auto fwd = [xv, nd, keepdim](const Tensor& o = {}) {
+    return ops::sum(xv, nd, keepdim, o);
+  };
   return make_op("sum", fwd(), fwd, {x},
                  [x_shape, keep_shape](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor g = gy.reshape(keep_shape);
@@ -666,7 +700,7 @@ Variable mean(const Variable& x, std::vector<int64_t> dims, bool keepdim) {
 Variable sum_all(const Variable& x) {
   const Shape x_shape = x.shape();
   Tensor xv = x.value();
-  auto fwd = [xv] { return ops::sum_all(xv); };
+  auto fwd = [xv](const Tensor& o = {}) { return ops::sum_all(xv, o); };
   return make_op("sum_all", fwd(), fwd, {x},
                  [x_shape](const Tensor& gy) -> std::vector<Tensor> {
                    return {Tensor::full(x_shape, gy.item())};
@@ -682,7 +716,7 @@ Variable mean_all(const Variable& x) {
 Variable softmax(const Variable& x, int64_t dim) {
   int64_t d = dim < 0 ? dim + x.dim() : dim;
   Tensor xv = x.value();
-  auto fwd = [xv, d] { return ops::softmax(xv, d); };
+  auto fwd = [xv, d](const Tensor& o = {}) { return ops::softmax(xv, d, o); };
   Tensor y = fwd();
   return make_op("softmax", y, fwd, {x},
                  [y, d](const Tensor& gy) -> std::vector<Tensor> {
@@ -693,7 +727,9 @@ Variable softmax(const Variable& x, int64_t dim) {
 Variable log_softmax(const Variable& x, int64_t dim) {
   int64_t d = dim < 0 ? dim + x.dim() : dim;
   Tensor xv = x.value();
-  auto fwd = [xv, d] { return ops::log_softmax(xv, d); };
+  auto fwd = [xv, d](const Tensor& o = {}) {
+    return ops::log_softmax(xv, d, o);
+  };
   Tensor y = fwd();
   return make_op("log_softmax", y, fwd, {x},
                  [y, d](const Tensor& gy) -> std::vector<Tensor> {
@@ -722,13 +758,13 @@ Variable nll_loss(const Variable& log_probs, const Tensor& labels,
   int64_t N, C, inner;
   nll_dims(log_probs.value(), labels, &N, &C, &inner);
   const Tensor lp = log_probs.value();
-  auto fwd = [lp, labels, N, C, inner, reduction]() -> Tensor {
+  auto fwd = [lp, labels, N, C, inner,
+              reduction](const Tensor& o = {}) -> Tensor {
     const float* p = lp.data();
     const float* pl = labels.data();
     const int64_t total = N * inner;
-    Tensor out = (reduction == Reduction::kNone)
-                     ? Tensor(labels.shape())
-                     : Tensor(Shape{});
+    Tensor out = Tensor::empty_or(
+        o, reduction == Reduction::kNone ? labels.shape() : Shape{});
     double acc = 0.0;
     for (int64_t i = 0; i < total; ++i) {
       const int64_t n = i / inner;
@@ -784,11 +820,11 @@ Variable bce_with_logits(const Variable& logits, const Tensor& targets,
   const Tensor x = logits.value();
   HFTA_CHECK(x.numel() == targets.numel(), "bce: shape mismatch");
   const int64_t n = x.numel();
-  auto fwd = [x, targets, reduction, n]() -> Tensor {
+  auto fwd = [x, targets, reduction, n](const Tensor& o = {}) -> Tensor {
     const float* px = x.data();
     const float* pt = targets.data();
-    Tensor out =
-        (reduction == Reduction::kNone) ? Tensor(x.shape()) : Tensor(Shape{});
+    Tensor out = Tensor::empty_or(
+        o, reduction == Reduction::kNone ? x.shape() : Shape{});
     double acc = 0.0;
     for (int64_t i = 0; i < n; ++i) {
       // max(x,0) - x*t + log(1 + exp(-|x|)) — numerically stable.
@@ -844,7 +880,9 @@ Variable mse_loss(const Variable& x, const Tensor& target,
 
 Variable embedding(const Tensor& indices, const Variable& weight) {
   Tensor wv = weight.value();
-  auto fwd = [indices, wv] { return ops::embedding(indices, wv); };
+  auto fwd = [indices, wv](const Tensor& o = {}) {
+    return ops::embedding(indices, wv, o);
+  };
   const int64_t vocab = weight.size(0);
   return make_op("embedding", fwd(), fwd, {weight},
                  [indices, vocab](const Tensor& gy) -> std::vector<Tensor> {
@@ -854,7 +892,7 @@ Variable embedding(const Tensor& indices, const Variable& weight) {
 
 Variable mul_mask(const Variable& x, const Tensor& mask) {
   Tensor xv = x.value();
-  auto fwd = [xv, mask] { return ops::mul(xv, mask); };
+  auto fwd = [xv, mask](const Tensor& o = {}) { return ops::mul(xv, mask, o); };
   return make_op("mul_mask", fwd(), fwd, {x},
                  [mask](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::mul(gy, mask)};

@@ -11,15 +11,14 @@
 //
 //   - Forward: every differentiable op funnels through make_op
 //     (autograd/functions.cpp), which, while a CaptureGuard is active,
-//     appends {pinned output tensor, recompute thunk} to the recording
-//     program. The thunk captures the op's *input tensors by value* —
-//     shared storage, so the thunk permanently reads through the buffers
-//     the capture run resolved from the StoragePool (buffer pinning).
-//     Replay runs the thunks in recorded order and copies each result
-//     into its pinned output (view ops share storage and skip the copy),
-//     so every downstream consumer — including backward closures that
-//     captured input/output tensors — sees fresh values with zero Node or
-//     closure construction.
+//     records a thunk that runs the op's forward kernel into the output
+//     tensor the capture run produced. The thunk captures the op's *input
+//     tensors by value* — shared storage, so it permanently reads through
+//     the buffers the capture run resolved from the StoragePool (buffer
+//     pinning) and writes its result in place (a view op such as reshape
+//     has nothing to write). Every downstream consumer — including
+//     backward closures that captured input/output tensors — then sees
+//     fresh values with zero Node or closure construction.
 //   - Side effects outside the tape (BatchNorm running-stat updates,
 //     dropout mask draws from a module's RNG stream) are recorded via
 //     record_side_effect() at their position in the op stream, so replay
@@ -37,7 +36,6 @@
 // executed for real around the replayed program, not baked into it.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -66,11 +64,9 @@ class StepProgram {
   /// CaptureGuard). make_op and side-effect hooks consult this.
   static StepProgram* recording();
 
-  /// Appends one op: `out` is the pinned output buffer, `recompute` the
-  /// kernel thunk whose result replay copies into it.
-  void record_op(const Tensor& out, std::function<Tensor()> recompute);
-  /// Appends one non-tape side effect at its position in the op stream.
-  void record_effect(std::function<void()> effect);
+  /// Appends one slot — an op's forward thunk or a non-tape side effect —
+  /// at its position in the op stream.
+  void record(std::function<void()> slot);
 
   /// Freezes the backward half: runs `engine` from `root` with a capture
   /// sink (this IS the step's real backward pass, not an extra one).
@@ -78,36 +74,28 @@ class StepProgram {
                       Tensor seed = Tensor());
 
   bool captured() const { return captured_; }
-  /// Re-executes the captured step: forward thunks + side effects in
-  /// recorded order, then the backward tape. Zero Node constructions,
-  /// zero closure constructions, zero topo sorts.
+  /// Re-executes the captured step: every slot in recorded order, then the
+  /// backward tape. Zero Node constructions, zero closure constructions,
+  /// zero topo sorts.
   void replay();
   /// The captured loss variable; its pinned value is refreshed by every
   /// replay().
   const Variable& loss() const { return tape_.root; }
 
-  int64_t op_count() const;
-  int64_t effect_count() const;
   void clear();
 
  private:
-  struct Slot {
-    Tensor out;                       // pinned output (ops only)
-    std::function<Tensor()> compute;  // null for side-effect slots
-    std::function<void()> effect;     // null for op slots
-  };
-
-  std::vector<Slot> slots_;
+  std::vector<std::function<void()>> slots_;
   BackwardTape tape_;
   bool captured_ = false;
 };
 
-/// True while a CaptureGuard is active on this thread. Modules with
-/// non-tape per-step state (dropout masks, batch-norm running stats) check
-/// this to record their side effects.
-bool capturing();
-
-/// Records `effect` into the recording program; no-op when not capturing.
-void record_side_effect(std::function<void()> effect);
+/// Records `effect` into the program recording on this thread, if any.
+/// Modules with non-tape per-step state (dropout masks, batch-norm running
+/// stats) call this; outside a CaptureGuard it builds no std::function.
+template <typename F>
+void record_side_effect(const F& effect) {
+  if (StepProgram* p = StepProgram::recording()) p->record(effect);
+}
 
 }  // namespace hfta::ag

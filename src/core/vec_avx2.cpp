@@ -51,6 +51,7 @@ struct Avx2Traits {
   }
   static V select(V mask, V a, V b) { return _mm256_blendv_ps(b, a, mask); }
   static V gt(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  static V isnan(V a) { return _mm256_cmp_ps(a, a, _CMP_UNORD_Q); }
 
   static V add(V a, V b) { return _mm256_add_ps(a, b); }
   static V sub(V a, V b) { return _mm256_sub_ps(a, b); }

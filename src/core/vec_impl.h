@@ -11,9 +11,12 @@
 //     (a>b)?a:b, NaN in either operand selects b).
 //   * half widening matches the scalar converters in core/half.h bit-for-bit
 //     (the F16C path patches NaN lanes to do so).
+//   * which NaN an fma with several NaN operands returns depends on the
+//     operand order a compiler picked, so GEMM stores every NaN of C as
+//     one bit pattern (canon_nan).
 //
 // Traits interface (V = 8 x f32):
-//   zero set1 load store maskload maskstore lanemask select
+//   zero set1 load store maskload maskstore lanemask select isnan
 //   add sub mul div sqrt fma min max neg abs floor scale_pow2
 //   tree_add tree_max load_f16 load_bf16 quantize_f16 quantize_bf16
 //   any_nonfinite
@@ -242,6 +245,11 @@ struct Kern {
     if (cols <= 0) return T::zero();
     return T::maskload(p, cols);
   }
+  /// NaN lanes become the default quiet NaN: the backends agree on which
+  /// C elements are NaN, and this makes them agree on the bits too.
+  static inline V canon_nan(V v) {
+    return T::select(T::isnan(v), T::set1(bits_f32(0x7fc00000u)), v);
+  }
   static inline void store_cols(float* p, int64_t cols, V v) {
     if (cols >= kLanes) {
       T::store(p, v);
@@ -300,8 +308,8 @@ struct Kern {
     }
     const auto emit = [&](int64_t r, V v0, V v1) {
       if (r >= ir) return;
-      store_cols(c + r * ldc, c0, v0);
-      store_cols(c + r * ldc + kLanes, c1, v1);
+      store_cols(c + r * ldc, c0, canon_nan(v0));
+      store_cols(c + r * ldc + kLanes, c1, canon_nan(v1));
     };
     emit(0, a0_0, a0_1);
     emit(1, a1_0, a1_1);

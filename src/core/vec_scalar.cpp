@@ -65,6 +65,11 @@ struct ScalarTraits {
     for (int i = 0; i < kLanes; ++i) v.l[i] = a.l[i] > b.l[i] ? 1.f : 0.f;
     return v;
   }
+  static V isnan(V a) {
+    V v;
+    for (int i = 0; i < kLanes; ++i) v.l[i] = a.l[i] != a.l[i] ? 1.f : 0.f;
+    return v;
+  }
 
   static V add(V a, V b) {
     V v;

@@ -385,7 +385,7 @@ ag::Variable FusedDropout2d::forward(const ag::Variable& x) {
     }
   };
   draw();
-  if (ag::capturing()) ag::record_side_effect(draw);
+  ag::record_side_effect(draw);
   return ag::mul_mask(x, mask);
 }
 
@@ -402,7 +402,7 @@ ag::Variable FusedDropout::forward(const ag::Variable& x) {
       m[i] = rng->bernoulli(p) ? 0.f : scale;
   };
   draw();
-  if (ag::capturing()) ag::record_side_effect(draw);
+  ag::record_side_effect(draw);
   return ag::mul_mask(x, mask);
 }
 

@@ -22,8 +22,7 @@ UnfusedBlockAdapter::UnfusedBlockAdapter(
       // donor module cannot write through to anything.
       HFTA_CHECK(!nn::has_state(*donor),
                  "UnfusedBlockAdapter: stateful kind '", donor->kind_name(),
-                 "' has no clone support — override Module::clone() or "
-                 "register a clone factory with the LoweringRegistry");
+                 "' has no clone support — override Module::clone()");
       owned = std::move(donor);
     }
     mods_.push_back(std::move(owned));
@@ -39,18 +38,6 @@ ag::Variable UnfusedBlockAdapter::forward(const ag::Variable& x) {
   for (size_t b = 0; b < chunks.size(); ++b)
     outs.push_back(mods_[b]->forward(chunks[b]));
   return ag::concat(outs, 1);
-}
-
-Tensor fuse_blocks(const std::vector<Tensor>& per_model) {
-  HFTA_CHECK(!per_model.empty(), "fuse_blocks: empty");
-  const int64_t block = per_model[0].numel();
-  Tensor out({static_cast<int64_t>(per_model.size()) * block});
-  for (size_t b = 0; b < per_model.size(); ++b) {
-    HFTA_CHECK(per_model[b].numel() == block, "fuse_blocks: numel mismatch");
-    std::copy(per_model[b].data(), per_model[b].data() + block,
-              out.data() + static_cast<int64_t>(b) * block);
-  }
-  return out;
 }
 
 std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape) {
@@ -118,17 +105,6 @@ const LoweringFn* LoweringRegistry::find(const std::string& kind_name) const {
   return it == rules_.end() ? nullptr : &it->second;
 }
 
-void LoweringRegistry::add_clone_factory(const std::string& kind_name,
-                                         CloneFactory fn) {
-  clone_factories_[kind_name] = std::move(fn);
-}
-
-const CloneFactory* LoweringRegistry::find_clone_factory(
-    const std::string& kind_name) const {
-  auto it = clone_factories_.find(kind_name);
-  return it == clone_factories_.end() ? nullptr : &it->second;
-}
-
 std::vector<std::string> LoweringRegistry::supported_kinds() const {
   std::vector<std::string> out;
   for (const auto& [k, v] : rules_) out.push_back(k);
@@ -136,16 +112,6 @@ std::vector<std::string> LoweringRegistry::supported_kinds() const {
 }
 
 LoweringRegistry::LoweringRegistry() {
-  // Route Module::clone()'s default implementation through the per-kind
-  // clone factories, so composite kinds registered via LoweringRegistrar
-  // clone without a clone() override.
-  nn::Module::set_clone_fallback(
-      [](const nn::Module& m) -> std::shared_ptr<nn::Module> {
-        const CloneFactory* fn =
-            LoweringRegistry::instance().find_clone_factory(m.kind_name());
-        return fn ? (*fn)(m) : nullptr;
-      });
-
   // -- model-major family ----------------------------------------------------
   add(nn::layer_kind_name(nn::LayerKind::kLinear),
       [](const LoweringContext& ctx) {
@@ -505,8 +471,7 @@ FusedArray::Step make_adapter_step(
     throw FusionError(
         {path, -1,
          "unfused unit of stateful kind '" + reps[0]->kind_name() +
-             "' has no clone support — override Module::clone() or "
-             "register a clone factory with the LoweringRegistry"});
+             "' has no clone support — override Module::clone()"});
   }
   s.module = std::make_shared<UnfusedBlockAdapter>(B, std::move(reps));
   s.in = Layout::kChannelFused;

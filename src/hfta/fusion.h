@@ -49,8 +49,6 @@ class UnfusedBlockAdapter : public FusedModule {
   std::vector<std::shared_ptr<nn::Module>> mods_;
 };
 
-/// Fuses B per-model parameter tensors into the dim-0-block layout.
-Tensor fuse_blocks(const std::vector<Tensor>& per_model);
 /// Splits a dim-0-block fused tensor into B per-model tensors of `shape`.
 std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape);
 
@@ -104,18 +102,9 @@ struct Lowered {
 
 using LoweringFn = std::function<Lowered(const LoweringContext&)>;
 
-/// Per-kind deep-copy factory: builds an independently owned, structurally
-/// congruent copy of `src` (same weights/buffers). Module::clone() falls
-/// back to these for composite kinds without a clone() override.
-using CloneFactory =
-    std::function<std::shared_ptr<nn::Module>(const nn::Module& src)>;
-
 /// Per-layer-kind lowering rules. Built-in nn:: leaves are pre-registered;
 /// composite model blocks (e.g. "models::BasicBlock") register themselves so
 /// the planner can lower user-defined stacks without bespoke fused models.
-/// Also hosts the per-kind clone factories that back Module::clone() for
-/// registered composite kinds (the planner needs clones whenever a unit
-/// runs unfused).
 class LoweringRegistry {
  public:
   static LoweringRegistry& instance();
@@ -124,26 +113,16 @@ class LoweringRegistry {
   const LoweringFn* find(const std::string& kind_name) const;
   std::vector<std::string> supported_kinds() const;
 
-  void add_clone_factory(const std::string& kind_name, CloneFactory fn);
-  const CloneFactory* find_clone_factory(const std::string& kind_name) const;
-
  private:
   LoweringRegistry();
   std::map<std::string, LoweringFn> rules_;
-  std::map<std::string, CloneFactory> clone_factories_;
 };
 
-/// Registers `fn` (and optionally the kind's clone factory) at static-init
-/// time (file-scope object in the .cpp that defines the fused counterpart).
+/// Registers `fn` at static-init time (file-scope object in the .cpp that
+/// defines the fused counterpart).
 struct LoweringRegistrar {
   LoweringRegistrar(const std::string& kind_name, LoweringFn fn) {
     LoweringRegistry::instance().add(kind_name, std::move(fn));
-  }
-  LoweringRegistrar(const std::string& kind_name, LoweringFn fn,
-                    CloneFactory clone_fn) {
-    LoweringRegistry::instance().add(kind_name, std::move(fn));
-    LoweringRegistry::instance().add_clone_factory(kind_name,
-                                                   std::move(clone_fn));
   }
 };
 

@@ -52,6 +52,7 @@ class PointNetTrunk : public nn::Module {
   ag::Variable forward(const ag::Variable& x) override;  // global feature
   /// Returns {pointfeat [N, w1, L], global [N, w3]}.
   std::pair<ag::Variable, ag::Variable> forward_both(const ag::Variable& x);
+  std::shared_ptr<nn::Module> clone() const override;
   std::string kind_name() const override { return "models::PointNetTrunk"; }
   nn::ModuleConfig config() const override;
 

@@ -35,6 +35,7 @@ class BasicBlock : public nn::Module {
  public:
   BasicBlock(int64_t in, int64_t out, int64_t stride, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
+  std::shared_ptr<nn::Module> clone() const override;
   std::string kind_name() const override { return "models::BasicBlock"; }
   nn::ModuleConfig config() const override;
 

@@ -33,6 +33,7 @@ class TransformerEncoderLayer : public nn::Module {
                           Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
   ag::Variable forward_masked(const ag::Variable& x, const Tensor& mask);
+  std::shared_ptr<nn::Module> clone() const override;
   std::string kind_name() const override {
     return "models::TransformerEncoderLayer";
   }
@@ -75,6 +76,7 @@ class TransformerLM : public nn::Module {
   ag::Variable forward(const ag::Variable&) override;
   /// tokens: [N, S] integer ids -> logits [N, S, V].
   ag::Variable forward_tokens(const Tensor& tokens);
+  std::shared_ptr<nn::Module> clone() const override;
   std::string kind_name() const override { return "models::TransformerLM"; }
   nn::ModuleConfig config() const override;
 

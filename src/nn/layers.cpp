@@ -129,7 +129,7 @@ ag::Variable Dropout::forward(const ag::Variable& x) {
       m[i] = rng->bernoulli(p) ? 0.f : scale;
   };
   draw();
-  if (ag::capturing()) ag::record_side_effect(draw);
+  ag::record_side_effect(draw);
   return ag::mul_mask(x, mask);
 }
 
@@ -152,7 +152,7 @@ ag::Variable Dropout2d::forward(const ag::Variable& x) {
     }
   };
   draw();
-  if (ag::capturing()) ag::record_side_effect(draw);
+  ag::record_side_effect(draw);
   return ag::mul_mask(x, mask);
 }
 

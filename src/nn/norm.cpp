@@ -48,7 +48,7 @@ ag::Variable BatchNormBase::normalize(
       rv.add_(scratch, m);
     };
     update();
-    if (ag::capturing()) ag::record_side_effect(update);
+    ag::record_side_effect(update);
   } else {
     mean_v = ag::constant(running_mean.reshape(bshape));
     var_v = ag::constant(running_var.reshape(bshape));

@@ -108,13 +108,13 @@ ConvDims check_conv(const Shape& x_shape, const Shape& w_shape,
 // 1-D and transposed variants all funnel through them. as_f32 is the
 // identity for f32 inputs.
 Tensor conv2d(const Tensor& x_in, const Tensor& w_in, const Tensor& b,
-              const ConvArgs& a) {
+              const ConvArgs& a, const Tensor& dst) {
   const Tensor x = as_f32(x_in), w = as_f32(w_in);
   const ConvDims d = check_conv(x.shape(), w.shape(), a);
   if (b.defined())
     HFTA_CHECK(b.numel() == d.Cout, "conv2d: bias numel ", b.numel(), " != ",
                d.Cout);
-  Tensor y = Tensor::empty({d.N, d.Cout, d.Ho, d.Wo});
+  Tensor y = Tensor::empty_or(dst, {d.N, d.Cout, d.Ho, d.Wo});
   const int64_t col_rows = d.Cing * d.kh * d.kw;
   const int64_t spatial = d.Ho * d.Wo;
   const float* px = x.data();
@@ -157,13 +157,17 @@ Tensor conv2d(const Tensor& x_in, const Tensor& w_in, const Tensor& b,
 }
 
 Tensor conv2d_grad_input(const Tensor& gy_in, const Tensor& w_in,
-                         const Shape& x_shape, const ConvArgs& a) {
+                         const Shape& x_shape, const ConvArgs& a,
+                         const Tensor& dst) {
   const Tensor gy = as_f32(gy_in), w = as_f32(w_in);
   const ConvDims d = check_conv(x_shape, w.shape(), a);
   HFTA_CHECK(gy.size(0) == d.N && gy.size(1) == d.Cout && gy.size(2) == d.Ho &&
                  gy.size(3) == d.Wo,
              "conv2d_grad_input: gy shape ", shape_str(gy.shape()));
-  Tensor gx(x_shape);
+  // col2im accumulates, so the output (a reused destination too) starts
+  // at zero.
+  Tensor gx = Tensor::empty_or(dst, x_shape);
+  gx.zero_();
   const int64_t col_rows = d.Cing * d.kh * d.kw;
   const int64_t spatial = d.Ho * d.Wo;
   const float* pgy = gy.data();
@@ -268,14 +272,18 @@ namespace {
 Shape as4d_x(const Shape& s) { return {s[0], s[1], 1, s[2]}; }
 Shape as4d_w(const Shape& s) { return {s[0], s[1], 1, s[2]}; }
 Shape as3d(const Shape& s) { return {s[0], s[1], s[3]}; }
+// A 1-D output destination viewed as 4-D; an absent one stays absent.
+Tensor dst4d(const Tensor& dst) {
+  return dst.defined() ? dst.reshape(as4d_x(dst.shape())) : dst;
+}
 }  // namespace
 
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& b,
-              int64_t stride, int64_t pad, int64_t groups) {
+              int64_t stride, int64_t pad, int64_t groups, const Tensor& dst) {
   HFTA_CHECK(x.dim() == 3 && w.dim() == 3, "conv1d: x [N,C,L], w [Co,Ci/g,k]");
   ConvArgs a{1, stride, 0, pad, groups};
   Tensor y = conv2d(x.reshape(as4d_x(x.shape())), w.reshape(as4d_w(w.shape())),
-                    b, a);
+                    b, a, dst4d(dst));
   return y.reshape(as3d(y.shape()));
 }
 
@@ -302,7 +310,7 @@ Tensor conv1d_grad_weight(const Tensor& gy, const Tensor& x,
 // ---- conv_transpose2d (via conv/conv-grad duality) ---------------------------
 
 Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& t) {
+                        const ConvTransposeArgs& t, const Tensor& dst) {
   HFTA_CHECK(x.dim() == 4 && w.dim() == 4,
              "conv_transpose2d: x [N,Ci,H,W], w [Ci,Co/g,kh,kw]");
   HFTA_CHECK(t.out_pad < t.stride, "conv_transpose2d: out_pad must be < stride");
@@ -319,7 +327,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
   // convT(x, w) == conv_grad_input treating x as the conv's output gradient:
   // the underlying conv maps [N, Cout, Ho, Wo] -> [N, Cin, H, W].
   const ConvArgs a{t.stride, t.stride, t.pad, t.pad, t.groups};
-  Tensor y = conv2d_grad_input(x, w, {N, Cout, Ho, Wo}, a);
+  Tensor y = conv2d_grad_input(x, w, {N, Cout, Ho, Wo}, a, dst);
   if (b.defined()) {
     HFTA_CHECK(b.numel() == Cout, "conv_transpose2d: bias mismatch");
     float* py = y.data();
@@ -354,7 +362,7 @@ Tensor conv_transpose2d_grad_weight(const Tensor& gy, const Tensor& x,
 // through the conv/conv-grad duality directly rather than through
 // conv_transpose2d (whose scalar stride/pad apply to both axes).
 Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& t) {
+                        const ConvTransposeArgs& t, const Tensor& dst) {
   HFTA_CHECK(x.dim() == 3 && w.dim() == 3,
              "conv_transpose1d: x [N,Ci,L], w [Ci,Co/g,k]");
   HFTA_CHECK(t.out_pad < t.stride, "conv_transpose1d: out_pad must be < stride");
@@ -366,7 +374,7 @@ Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
   const ConvArgs a{1, t.stride, 0, t.pad, t.groups};
   Tensor y = conv2d_grad_input(x.reshape(as4d_x(x.shape())),
                                w.reshape(as4d_w(w.shape())),
-                               {N, Cout, 1, Lo}, a);
+                               {N, Cout, 1, Lo}, a, dst4d(dst));
   y = y.reshape(as3d(y.shape()));
   if (b.defined()) {
     HFTA_CHECK(b.numel() == Cout, "conv_transpose1d: bias mismatch");

@@ -6,6 +6,7 @@
 // backward kernels are the exact adjoints. ConvTranspose2d is implemented
 // through the conv/conv-grad duality.
 //
+// Forward kernels take an optional output `dst` (tensor/ops.h).
 // Weight layouts (PyTorch convention):
 //   conv2d            w: [Cout, Cin/groups, kh, kw]
 //   conv_transpose2d  w: [Cin, Cout/groups, kh, kw]
@@ -35,10 +36,11 @@ int64_t conv_transpose_out_size(int64_t in, int64_t kernel, int64_t stride,
 
 /// x: [N, Cin, H, W], w: [Cout, Cin/g, kh, kw], optional b: [Cout].
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
-              const ConvArgs& args);
+              const ConvArgs& args, const Tensor& dst = {});
 /// Gradient w.r.t. x given gy: [N, Cout, Ho, Wo]; x_shape: [N, Cin, H, W].
 Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w,
-                         const Shape& x_shape, const ConvArgs& args);
+                         const Shape& x_shape, const ConvArgs& args,
+                         const Tensor& dst = {});
 /// Gradient w.r.t. w; w_shape: [Cout, Cin/g, kh, kw].
 Tensor conv2d_grad_weight(const Tensor& gy, const Tensor& x,
                           const Shape& w_shape, const ConvArgs& args);
@@ -47,7 +49,8 @@ Tensor conv2d_grad_bias(const Tensor& gy);
 
 /// x: [N, Cin, L], w: [Cout, Cin/g, k] — lowered to 2-D with H = 1.
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& b,
-              int64_t stride, int64_t pad, int64_t groups);
+              int64_t stride, int64_t pad, int64_t groups,
+              const Tensor& dst = {});
 Tensor conv1d_grad_input(const Tensor& gy, const Tensor& w,
                          const Shape& x_shape, int64_t stride, int64_t pad,
                          int64_t groups);
@@ -64,7 +67,7 @@ struct ConvTransposeArgs {
 
 /// x: [N, Cin, H, W], w: [Cin, Cout/g, kh, kw], optional b: [Cout].
 Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& args);
+                        const ConvTransposeArgs& args, const Tensor& dst = {});
 Tensor conv_transpose2d_grad_input(const Tensor& gy, const Tensor& w,
                                    const ConvTransposeArgs& args);
 Tensor conv_transpose2d_grad_weight(const Tensor& gy, const Tensor& x,
@@ -74,7 +77,7 @@ Tensor conv_transpose2d_grad_weight(const Tensor& gy, const Tensor& x,
 /// x: [N, Cin, L], w: [Cin, Cout/g, k] — lowered to 2-D with H = 1 (the
 /// paper's ConvTranspose1d fusion-rule example, Section 3).
 Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& args);
+                        const ConvTransposeArgs& args, const Tensor& dst = {});
 Tensor conv_transpose1d_grad_input(const Tensor& gy, const Tensor& w,
                                    const ConvTransposeArgs& args);
 Tensor conv_transpose1d_grad_weight(const Tensor& gy, const Tensor& x,

@@ -88,10 +88,11 @@ int64_t gemm_scratch_floats(int64_t m, int64_t n, int64_t k) {
   return vec::gemm_scratch_floats(m, n, k);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b, DType qa, DType qb) {
+Tensor matmul(const Tensor& a, const Tensor& b, DType qa, DType qb,
+              const Tensor& dst) {
   HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(1) == b.size(0),
              "matmul: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
-  Tensor c = Tensor::empty({a.size(0), b.size(1)});
+  Tensor c = Tensor::empty_or(dst, {a.size(0), b.size(1)});
   gemm_tensors(a, b, c.data(), a.size(0), b.size(1), a.size(1), false, false,
                qa, qb);
   return c;
@@ -106,10 +107,11 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b, DType qa, DType qb) {
   return c;
 }
 
-Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa, DType qb) {
+Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa, DType qb,
+                 const Tensor& dst) {
   HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(1) == b.size(1),
              "matmul_nt: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
-  Tensor c = Tensor::empty({a.size(0), b.size(0)});
+  Tensor c = Tensor::empty_or(dst, {a.size(0), b.size(0)});
   gemm_tensors(a, b, c.data(), a.size(0), b.size(0), a.size(1), false, true,
                qa, qb);
   return c;
@@ -117,7 +119,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa, DType qb) {
 
 namespace {
 Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
-                DType qb) {
+                DType qb, const Tensor& dst = {}) {
   HFTA_CHECK(a.dim() == 3 && b.dim() == 3 && a.size(0) == b.size(0),
              "bmm: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
   const int64_t B = a.size(0);
@@ -126,7 +128,7 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
   const int64_t kb = tb ? b.size(2) : b.size(1);
   const int64_t n = tb ? b.size(1) : b.size(2);
   HFTA_CHECK(ka == kb, "bmm: inner dim mismatch ", ka, " vs ", kb);
-  Tensor c = Tensor::empty({B, m, n});
+  Tensor c = Tensor::empty_or(dst, {B, m, n});
   const int64_t a_bytes = a.size(1) * a.size(2) * dtype_size(a.dtype());
   const int64_t b_bytes = b.size(1) * b.size(2) * dtype_size(b.dtype());
   // One packing-scratch slot per partition chunk, acquired HERE on the
@@ -166,24 +168,27 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
 }
 }  // namespace
 
-Tensor bmm(const Tensor& a, const Tensor& b, DType qa, DType qb) {
-  return bmm_impl(a, b, false, false, qa, qb);
+Tensor bmm(const Tensor& a, const Tensor& b, DType qa, DType qb,
+           const Tensor& dst) {
+  return bmm_impl(a, b, false, false, qa, qb, dst);
 }
 Tensor bmm_tn(const Tensor& a, const Tensor& b, DType qa, DType qb) {
   return bmm_impl(a, b, true, false, qa, qb);
 }
-Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa, DType qb) {
-  return bmm_impl(a, b, false, true, qa, qb);
+Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa, DType qb,
+              const Tensor& dst) {
+  return bmm_impl(a, b, false, true, qa, qb, dst);
 }
 
 Tensor baddbmm(const Tensor& bias, const Tensor& a, const Tensor& b, DType qa,
-               DType qb) {
-  Tensor c = bmm(a, b, qa, qb);
-  return ops::add(c, bias);
+               DType qb, const Tensor& dst) {
+  // The bias add runs in place: each element reads only its own product.
+  Tensor c = bmm(a, b, qa, qb, dst);
+  return ops::add(c, bias, c);
 }
 
 Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      DType qx, DType qw) {
+                      DType qx, DType qw, const Tensor& dst) {
   HFTA_CHECK(w.dim() == 2, "linear: weight must be [out, in]");
   const int64_t in = w.size(1);
   const int64_t out = w.size(0);
@@ -191,7 +196,8 @@ Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
              " != weight in ", in);
   const int64_t rows = x.numel() / in;
   Tensor x2 = x.reshape({rows, in});
-  Tensor y = matmul_nt(x2, w, qx, qw);  // [rows, out]
+  Tensor y = matmul_nt(x2, w, qx, qw,
+                       dst.defined() ? dst.reshape({rows, out}) : dst);
   if (b.defined()) {
     HFTA_CHECK(b.numel() == out, "linear: bias size mismatch");
     float* py = y.data();

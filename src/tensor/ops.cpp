@@ -44,9 +44,9 @@ std::vector<int64_t> broadcast_strides(const Shape& padded, const Shape& out) {
 // These ops are single-rounding IEEE maps, so vectorization cannot change
 // any output bit. Broadcast shapes fall back to the generic strided walk.
 Tensor binary_vec(const Tensor& a, const Tensor& b, vec::BinOp op,
-                  float (*fn)(float, float)) {
+                  float (*fn)(float, float), const Tensor& dst = {}) {
   if (a.defined() && b.defined() && a.shape() == b.shape()) {
-    Tensor out = Tensor::empty(a.shape());
+    Tensor out = Tensor::empty_or(dst, a.shape());
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out.data();
@@ -55,11 +55,12 @@ Tensor binary_vec(const Tensor& a, const Tensor& b, vec::BinOp op,
     });
     return out;
   }
-  return binary(a, b, fn);
+  return binary(a, b, fn, dst);
 }
 
-Tensor unary_vec(const Tensor& a, vec::UnOp op, float p0, float p1 = 0.f) {
-  Tensor out = Tensor::empty(a.shape());
+Tensor unary_vec(const Tensor& a, vec::UnOp op, float p0, float p1 = 0.f,
+                 const Tensor& dst = {}) {
+  Tensor out = Tensor::empty_or(dst, a.shape());
   const float* pa = a.data();
   float* po = out.data();
   parallel_for(Partition::elems(a.numel()), [&](int64_t lo, int64_t hi) {
@@ -85,11 +86,12 @@ Shape broadcast_shapes(const Shape& a, const Shape& b) {
   return out;
 }
 
-Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float)) {
+Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float),
+              const Tensor& dst) {
   HFTA_CHECK(a.defined() && b.defined(), "binary op on undefined tensor");
   // Fast path: identical shapes.
   if (a.shape() == b.shape()) {
-    Tensor out = Tensor::empty(a.shape());
+    Tensor out = Tensor::empty_or(dst, a.shape());
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out.data();
@@ -104,7 +106,7 @@ Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float)) {
   HFTA_CHECK(nd <= kMaxRank, "binary: rank ", nd, " exceeds ", kMaxRank);
   const auto sa = broadcast_strides(pad_shape(a.shape(), nd), out_shape);
   const auto sb = broadcast_strides(pad_shape(b.shape(), nd), out_shape);
-  Tensor out = Tensor::empty(out_shape);
+  Tensor out = Tensor::empty_or(dst, out_shape);
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
@@ -139,25 +141,21 @@ Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float)) {
   return out;
 }
 
-Tensor add(const Tensor& a, const Tensor& b) {
+Tensor add(const Tensor& a, const Tensor& b, const Tensor& dst) {
   return binary_vec(a, b, vec::BinOp::kAdd,
-                    [](float x, float y) { return x + y; });
+                    [](float x, float y) { return x + y; }, dst);
 }
-Tensor sub(const Tensor& a, const Tensor& b) {
+Tensor sub(const Tensor& a, const Tensor& b, const Tensor& dst) {
   return binary_vec(a, b, vec::BinOp::kSub,
-                    [](float x, float y) { return x - y; });
+                    [](float x, float y) { return x - y; }, dst);
 }
-Tensor mul(const Tensor& a, const Tensor& b) {
+Tensor mul(const Tensor& a, const Tensor& b, const Tensor& dst) {
   return binary_vec(a, b, vec::BinOp::kMul,
-                    [](float x, float y) { return x * y; });
+                    [](float x, float y) { return x * y; }, dst);
 }
-Tensor div(const Tensor& a, const Tensor& b) {
+Tensor div(const Tensor& a, const Tensor& b, const Tensor& dst) {
   return binary_vec(a, b, vec::BinOp::kDiv,
-                    [](float x, float y) { return x / y; });
-}
-Tensor maximum(const Tensor& a, const Tensor& b) {
-  return binary_vec(a, b, vec::BinOp::kMax,
-                    [](float x, float y) { return x > y ? x : y; });
+                    [](float x, float y) { return x / y; }, dst);
 }
 
 Tensor reduce_to_shape(const Tensor& grad, const Shape& shape) {
@@ -173,15 +171,16 @@ Tensor reduce_to_shape(const Tensor& grad, const Shape& shape) {
   return r.reshape(shape);
 }
 
-Tensor add_scalar(const Tensor& a, float s) {
-  return unary_vec(a, vec::UnOp::kAddScalar, s);
+Tensor add_scalar(const Tensor& a, float s, const Tensor& dst) {
+  return unary_vec(a, vec::UnOp::kAddScalar, s, 0.f, dst);
 }
-Tensor mul_scalar(const Tensor& a, float s) {
-  return unary_vec(a, vec::UnOp::kMulScalar, s);
+Tensor mul_scalar(const Tensor& a, float s, const Tensor& dst) {
+  return unary_vec(a, vec::UnOp::kMulScalar, s, 0.f, dst);
 }
 
-Tensor unary(const Tensor& a, FunctionRef<float(float)> fn) {
-  Tensor out = Tensor::empty(a.shape());
+Tensor unary(const Tensor& a, FunctionRef<float(float)> fn,
+             const Tensor& dst) {
+  Tensor out = Tensor::empty_or(dst, a.shape());
   const float* pa = a.data();
   float* po = out.data();
   const int64_t n = a.numel();
@@ -191,32 +190,44 @@ Tensor unary(const Tensor& a, FunctionRef<float(float)> fn) {
   return out;
 }
 
-Tensor neg(const Tensor& a) { return unary_vec(a, vec::UnOp::kNeg, 0.f); }
-Tensor exp(const Tensor& a) { return unary(a, [](float x) { return std::exp(x); }); }
-Tensor log(const Tensor& a) { return unary(a, [](float x) { return std::log(x); }); }
-Tensor sqrt(const Tensor& a) { return unary(a, [](float x) { return std::sqrt(x); }); }
-Tensor tanh(const Tensor& a) { return unary(a, [](float x) { return std::tanh(x); }); }
-Tensor sigmoid(const Tensor& a) {
-  return unary(a, [](float x) { return 1.f / (1.f + std::exp(-x)); });
+Tensor neg(const Tensor& a, const Tensor& dst) {
+  return unary_vec(a, vec::UnOp::kNeg, 0.f, 0.f, dst);
 }
-Tensor relu(const Tensor& a) { return unary_vec(a, vec::UnOp::kRelu, 0.f); }
+Tensor exp(const Tensor& a, const Tensor& dst) {
+  return unary(a, [](float x) { return std::exp(x); }, dst);
+}
+Tensor log(const Tensor& a, const Tensor& dst) {
+  return unary(a, [](float x) { return std::log(x); }, dst);
+}
+Tensor sqrt(const Tensor& a, const Tensor& dst) {
+  return unary(a, [](float x) { return std::sqrt(x); }, dst);
+}
+Tensor tanh(const Tensor& a, const Tensor& dst) {
+  return unary(a, [](float x) { return std::tanh(x); }, dst);
+}
+Tensor sigmoid(const Tensor& a, const Tensor& dst) {
+  return unary(a, [](float x) { return 1.f / (1.f + std::exp(-x)); }, dst);
+}
+Tensor relu(const Tensor& a, const Tensor& dst) {
+  return unary_vec(a, vec::UnOp::kRelu, 0.f, 0.f, dst);
+}
 Tensor relu_backward(const Tensor& gy, const Tensor& x) {
   return binary_vec(gy, x, vec::BinOp::kReluBwd, [](float g, float v) {
     return g * (v > 0.f ? 1.f : 0.f);
   });
 }
-Tensor clamp(const Tensor& a, float lo, float hi) {
-  return unary_vec(a, vec::UnOp::kClamp, lo, hi);
+Tensor clamp(const Tensor& a, float lo, float hi, const Tensor& dst) {
+  return unary_vec(a, vec::UnOp::kClamp, lo, hi, dst);
 }
-Tensor leaky_relu(const Tensor& a, float slope) {
-  return unary_vec(a, vec::UnOp::kLeakyRelu, slope);
+Tensor leaky_relu(const Tensor& a, float slope, const Tensor& dst) {
+  return unary_vec(a, vec::UnOp::kLeakyRelu, slope, 0.f, dst);
 }
-Tensor pow_scalar(const Tensor& a, float p) {
-  return unary(a, [p](float x) { return std::pow(x, p); });
+Tensor pow_scalar(const Tensor& a, float p, const Tensor& dst) {
+  return unary(a, [p](float x) { return std::pow(x, p); }, dst);
 }
-Tensor abs(const Tensor& a) { return unary_vec(a, vec::UnOp::kAbs, 0.f); }
 
-Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
+Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
+           const Tensor& dst) {
   const int64_t nd = a.dim();
   std::vector<bool> reduce(static_cast<size_t>(nd), false);
   for (int64_t d : dims) {
@@ -231,7 +242,7 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
     if (!r) out_shape.push_back(a.size(i));
   }
   HFTA_CHECK(nd <= kMaxRank, "sum: rank ", nd, " exceeds ", kMaxRank);
-  Tensor out = Tensor::empty(out_shape.empty() ? Shape{} : out_shape);
+  Tensor out = Tensor::empty_or(dst, out_shape);
   // Row-major strides of the input, then split dims into kept / reduced
   // (original order preserved in both lists).
   std::vector<int64_t> in_strides(static_cast<size_t>(nd), 1);
@@ -313,7 +324,7 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
   return out;
 }
 
-Tensor sum_all(const Tensor& a) {
+Tensor sum_all(const Tensor& a, const Tensor& dst) {
   // Deliberately serial: a single double-precision chain over the whole
   // tensor. Splitting it would need a combine step whose float result
   // depends on the partition, and this sits on loss paths where the
@@ -321,7 +332,7 @@ Tensor sum_all(const Tensor& a) {
   const float* p = a.data();
   double acc = 0.0;
   for (int64_t i = 0; i < a.numel(); ++i) acc += p[i];
-  Tensor out = Tensor::empty(Shape{});
+  Tensor out = Tensor::empty_or(dst, Shape{});
   out.data()[0] = static_cast<float>(acc);
   return out;
 }
@@ -389,7 +400,7 @@ Tensor argmax(const Tensor& a, int64_t dim) {
   return max_dim(a, dim, /*keepdim=*/false).second;
 }
 
-Tensor concat(const std::vector<Tensor>& ts, int64_t dim) {
+Tensor concat(const std::vector<Tensor>& ts, int64_t dim, const Tensor& dst) {
   HFTA_CHECK(!ts.empty(), "concat of empty list");
   const int64_t nd = ts[0].dim();
   if (dim < 0) dim += nd;
@@ -406,17 +417,17 @@ Tensor concat(const std::vector<Tensor>& ts, int64_t dim) {
     total += t.size(dim);
   }
   out_shape[static_cast<size_t>(dim)] = total;
-  Tensor out = Tensor::empty(out_shape);
+  Tensor out = Tensor::empty_or(dst, out_shape);
   int64_t outer = 1, inner = 1;
   for (int64_t i = 0; i < dim; ++i) outer *= out_shape[static_cast<size_t>(i)];
   for (int64_t i = dim + 1; i < nd; ++i) inner *= out_shape[static_cast<size_t>(i)];
-  float* dst = out.data();
+  float* po = out.data();
   int64_t row_off = 0;
   for (const Tensor& t : ts) {
     const int64_t rows = t.size(dim);
     const float* src = t.data();
     for (int64_t o = 0; o < outer; ++o) {
-      std::memcpy(dst + (o * total + row_off) * inner, src + o * rows * inner,
+      std::memcpy(po + (o * total + row_off) * inner, src + o * rows * inner,
                   sizeof(float) * static_cast<size_t>(rows * inner));
     }
     row_off += rows;
@@ -448,31 +459,6 @@ std::vector<Tensor> chunk(const Tensor& t, int64_t chunks, int64_t dim) {
              " not divisible by ", chunks);
   return split(t, std::vector<int64_t>(static_cast<size_t>(chunks),
                                        t.size(d) / chunks), d);
-}
-
-Tensor index_select(const Tensor& t, int64_t dim,
-                    const std::vector<int64_t>& indices) {
-  const int64_t nd = t.dim();
-  if (dim < 0) dim += nd;
-  Shape out_shape = t.shape();
-  out_shape[static_cast<size_t>(dim)] = static_cast<int64_t>(indices.size());
-  Tensor out = Tensor::empty(out_shape);
-  int64_t outer = 1, inner = 1;
-  const int64_t n = t.size(dim);
-  for (int64_t i = 0; i < dim; ++i) outer *= t.size(i);
-  for (int64_t i = dim + 1; i < nd; ++i) inner *= t.size(i);
-  const float* src = t.data();
-  float* dst = out.data();
-  const int64_t rows = static_cast<int64_t>(indices.size());
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t r = 0; r < rows; ++r) {
-      const int64_t i = indices[static_cast<size_t>(r)];
-      HFTA_CHECK(i >= 0 && i < n, "index_select: index ", i, " out of range");
-      std::memcpy(dst + (o * rows + r) * inner, src + (o * n + i) * inner,
-                  sizeof(float) * static_cast<size_t>(inner));
-    }
-  }
-  return out;
 }
 
 Tensor stack_repeat(const Tensor& t, int64_t reps) {
@@ -513,9 +499,9 @@ void rowwise(const Tensor& a, int64_t dim, Tensor& out, Fn fn) {
 // strip/tree shape on every backend and at every thread count, so fused ==
 // serial == scalar-build holds bitwise (see DESIGN.md §11).
 
-Tensor softmax(const Tensor& a, int64_t dim) {
+Tensor softmax(const Tensor& a, int64_t dim, const Tensor& dst) {
   if (dim < 0) dim += a.dim();
-  Tensor out = Tensor::empty(a.shape());
+  Tensor out = Tensor::empty_or(dst, a.shape());
   rowwise(a, dim, out, [](const float* x, float* y, int64_t n, int64_t st) {
     const float mx = vec::row_max(x, st, n);
     const float z = vec::row_sumexp(x, st, n, mx, y);
@@ -529,9 +515,9 @@ Tensor softmax(const Tensor& a, int64_t dim) {
   return out;
 }
 
-Tensor log_softmax(const Tensor& a, int64_t dim) {
+Tensor log_softmax(const Tensor& a, int64_t dim, const Tensor& dst) {
   if (dim < 0) dim += a.dim();
-  Tensor out = Tensor::empty(a.shape());
+  Tensor out = Tensor::empty_or(dst, a.shape());
   rowwise(a, dim, out, [](const float* x, float* y, int64_t n, int64_t st) {
     const float mx = vec::row_max(x, st, n);
     const float z = vec::row_sumexp(x, st, n, mx, nullptr);
@@ -560,13 +546,14 @@ Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim) {
   return mul(y, sub(gy, dot));
 }
 
-Tensor embedding(const Tensor& indices, const Tensor& weight) {
+Tensor embedding(const Tensor& indices, const Tensor& weight,
+                 const Tensor& dst) {
   HFTA_CHECK(weight.dim() == 2, "embedding weight must be [V, E]");
   const int64_t V = weight.size(0);
   const int64_t E = weight.size(1);
   Shape out_shape = indices.shape();
   out_shape.push_back(E);
-  Tensor out = Tensor::empty(out_shape);
+  Tensor out = Tensor::empty_or(dst, out_shape);
   const float* pi = indices.data();
   const float* pw = weight.data();
   float* po = out.data();
@@ -621,13 +608,6 @@ float max_abs_diff(const Tensor& a, const Tensor& b) {
   for (int64_t i = 0; i < a.numel(); ++i)
     m = std::max(m, std::fabs(pa[i] - pb[i]));
   return m;
-}
-
-bool allclose(const Tensor& a, const Tensor& b, float rtol, float atol) {
-  const float* pb = b.data();
-  float scale = 0.f;
-  for (int64_t i = 0; i < b.numel(); ++i) scale = std::max(scale, std::fabs(pb[i]));
-  return max_abs_diff(a, b) <= atol + rtol * scale;
 }
 
 }  // namespace hfta::ops

@@ -47,6 +47,14 @@ Tensor Tensor::empty(Shape shape, DType dtype) {
   return t;
 }
 
+Tensor Tensor::empty_or(const Tensor& dst, Shape shape, DType dtype) {
+  if (!dst.defined()) return empty(std::move(shape), dtype);
+  HFTA_CHECK(dst.shape_ == shape && dst.dtype_ == dtype, "destination ",
+             shape_str(dst.shape_), " ", dtype_name(dst.dtype_), " for a ",
+             shape_str(shape), " ", dtype_name(dtype), " result");
+  return dst;
+}
+
 Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
 
 Tensor Tensor::ones(Shape shape) { return full(std::move(shape), 1.f); }
@@ -173,7 +181,8 @@ Tensor Tensor::clone() const {
   return t;
 }
 
-Tensor Tensor::permute(const std::vector<int64_t>& perm) const {
+Tensor Tensor::permute(const std::vector<int64_t>& perm,
+                       const Tensor& dst) const {
   const int64_t nd = dim();
   HFTA_CHECK(static_cast<int64_t>(perm.size()) == nd, "permute rank mismatch");
   std::vector<bool> seen(static_cast<size_t>(nd), false);
@@ -191,16 +200,16 @@ Tensor Tensor::permute(const std::vector<int64_t>& perm) const {
     src_strides[static_cast<size_t>(i)] =
         src_strides[static_cast<size_t>(i + 1)] * shape_[static_cast<size_t>(i + 1)];
 
-  Tensor out = empty(out_shape);
+  Tensor out = empty_or(dst, out_shape);
   const float* src = data();
-  float* dst = out.data();
+  float* po = out.data();
   std::vector<int64_t> idx(static_cast<size_t>(nd), 0);
   for (int64_t flat = 0; flat < numel_; ++flat) {
     int64_t src_off = 0;
     for (int64_t i = 0; i < nd; ++i)
       src_off += idx[static_cast<size_t>(i)] *
                  src_strides[static_cast<size_t>(perm[static_cast<size_t>(i)])];
-    dst[flat] = src[src_off];
+    po[flat] = src[src_off];
     // increment mixed-radix index over out_shape
     for (int64_t i = nd - 1; i >= 0; --i) {
       if (++idx[static_cast<size_t>(i)] < out_shape[static_cast<size_t>(i)]) break;
@@ -210,7 +219,7 @@ Tensor Tensor::permute(const std::vector<int64_t>& perm) const {
   return out;
 }
 
-Tensor Tensor::transpose(int64_t a, int64_t b) const {
+Tensor Tensor::transpose(int64_t a, int64_t b, const Tensor& dst) const {
   const int64_t nd = dim();
   if (a < 0) a += nd;
   if (b < 0) b += nd;
@@ -218,10 +227,11 @@ Tensor Tensor::transpose(int64_t a, int64_t b) const {
   std::vector<int64_t> perm(static_cast<size_t>(nd));
   std::iota(perm.begin(), perm.end(), 0);
   std::swap(perm[static_cast<size_t>(a)], perm[static_cast<size_t>(b)]);
-  return permute(perm);
+  return permute(perm, dst);
 }
 
-Tensor Tensor::slice(int64_t d, int64_t start, int64_t end) const {
+Tensor Tensor::slice(int64_t d, int64_t start, int64_t end,
+                     const Tensor& dst) const {
   const int64_t nd = dim();
   if (d < 0) d += nd;
   HFTA_CHECK(d >= 0 && d < nd, "slice dim out of range");
@@ -230,16 +240,16 @@ Tensor Tensor::slice(int64_t d, int64_t start, int64_t end) const {
              ") out of range for dim of size ", n);
   Shape out_shape = shape_;
   out_shape[static_cast<size_t>(d)] = end - start;
-  Tensor out = empty(out_shape);
+  Tensor out = empty_or(dst, out_shape);
   // View the tensor as [outer, n, inner]; copy rows [start, end).
   int64_t outer = 1, inner = 1;
   for (int64_t i = 0; i < d; ++i) outer *= shape_[static_cast<size_t>(i)];
   for (int64_t i = d + 1; i < nd; ++i) inner *= shape_[static_cast<size_t>(i)];
   const float* src = data();
-  float* dst = out.data();
+  float* po = out.data();
   const int64_t len = end - start;
   for (int64_t o = 0; o < outer; ++o) {
-    std::memcpy(dst + o * len * inner, src + (o * n + start) * inner,
+    std::memcpy(po + o * len * inner, src + (o * n + start) * inner,
                 sizeof(float) * static_cast<size_t>(len * inner));
   }
   return out;
@@ -266,14 +276,14 @@ void Tensor::copy_(const Tensor& other) {
               static_cast<size_t>(byte_size()));
 }
 
-Tensor Tensor::to(DType dtype) const {
+Tensor Tensor::to(DType dtype, const Tensor& dst) const {
   HFTA_CHECK(defined(), "to() of undefined tensor");
   if (dtype == dtype_) return *this;
   if (dtype_ != DType::kF32 && dtype != DType::kF32) {
     // f16 <-> bf16: widen exactly, then narrow with RNE.
-    return to(DType::kF32).to(dtype);
+    return to(DType::kF32).to(dtype, dst);
   }
-  Tensor out = empty(shape_, dtype);
+  Tensor out = empty_or(dst, shape_, dtype);
   if (dtype_ == DType::kF32) {
     convert_f32_to_half(storage_.data(),
                         reinterpret_cast<uint16_t*>(out.storage_.data()),

@@ -35,8 +35,9 @@ int64_t shape_numel(const Shape& s);
 
 class Tensor {
  public:
-  /// Undefined tensor (no storage). defined() == false.
-  Tensor() = default;
+  /// Undefined tensor (no storage). defined() == false. Not `= default`:
+  /// the `dst = {}` default arguments below construct one in-class.
+  Tensor() {}
 
   /// Zero-initialized tensor of the given shape.
   explicit Tensor(Shape shape);
@@ -51,6 +52,11 @@ class Tensor {
   static Tensor empty(Shape shape, DType dtype = DType::kF32);
   static Tensor ones(Shape shape);
   static Tensor full(Shape shape, float value);
+  /// A kernel's output: `dst` itself when defined (checked to be `shape` at
+  /// `dtype`), else empty(shape, dtype). The kernels of recorded ops take
+  /// an optional `dst`; a replayed step program passes the pinned output.
+  static Tensor empty_or(const Tensor& dst, Shape shape,
+                         DType dtype = DType::kF32);
   /// Standard-normal entries drawn from `rng`.
   static Tensor randn(Shape shape, Rng& rng);
   /// Uniform [lo, hi) entries drawn from `rng`.
@@ -112,14 +118,16 @@ class Tensor {
   /// Deep copy.
   Tensor clone() const;
   /// Materialized transpose of dims a, b.
-  Tensor transpose(int64_t a, int64_t b) const;
+  Tensor transpose(int64_t a, int64_t b, const Tensor& dst = {}) const;
   /// Materialized permutation; perm must be a permutation of 0..dim-1.
-  Tensor permute(const std::vector<int64_t>& perm) const;
+  Tensor permute(const std::vector<int64_t>& perm,
+                 const Tensor& dst = {}) const;
   /// Materialized copy of rows [start, end) along `d`.
-  Tensor slice(int64_t d, int64_t start, int64_t end) const;
+  Tensor slice(int64_t d, int64_t start, int64_t end,
+               const Tensor& dst = {}) const;
   /// Converted copy at `dtype` (round-to-nearest-even when narrowing; exact
   /// when widening). Returns *this unchanged when the dtype already matches.
-  Tensor to(DType dtype) const;
+  Tensor to(DType dtype, const Tensor& dst = {}) const;
 
   // -- in-place helpers -------------------------------------------------------
   void fill_(float v);

@@ -155,9 +155,9 @@ TEST(ModuleClone, ReconstructedCompositeCarriesDropoutStream) {
   }
 }
 
-TEST(ModuleClone, BasicBlockClonesThroughTheRegistry) {
-  // BasicBlock has no clone() override: Module::clone() must route through
-  // the clone factory its LoweringRegistrar registered.
+TEST(ModuleClone, BasicBlockClonesThroughABaseReference) {
+  // Called through a Module reference, clone() must reach BasicBlock's
+  // override and build a full, independent BasicBlock.
   Rng rng(5);
   models::BasicBlock src(4, 8, 2, rng);  // strided: includes the down path
   src.forward(ag::Variable(Tensor::randn({2, 4, 8, 8}, rng)));  // BN stats
